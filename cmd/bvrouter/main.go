@@ -1,7 +1,7 @@
 // Command bvrouter is the scatter-gather front of a doc-partitioned
 // deployment: it fans point/AND/OR/top-k queries out to every shard in
-// parallel, merges the per-shard answers exactly (sorted merge for
-// postings, strict-beat heap merge for rankings), and degrades
+// parallel, merges the per-shard answers exactly (sorted union for
+// postings, strict-beat best-k for rankings), and degrades
 // gracefully when a shard is down — a partial answer with the dead
 // shards named, never a failed query. Tail latency is cut with
 // load-based pick-of-two replica routing and hedged requests: a backup
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -94,7 +95,9 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 	}
 	logger.Printf("bvrouter: %d shards, %d replicas, hedge=%v [%s..%s], shard timeout %s",
 		len(backends), replicas, *hedge, *hedgeMin, *hedgeMax, *shardTO)
-	srv := shard.NewServer(router, shard.ServerConfig{
+	// The same front bvserve runs: one /search handler, limits, load
+	// shedding, panic recovery and drain, over the router as Searcher.
+	srv := server.NewFront(router, server.Config{
 		MaxQueryTerms: *maxTerms,
 		MaxK:          *maxK,
 		DrainDeadline: *drain,

@@ -419,10 +419,7 @@ func (idx *Index) Disjunctive(terms ...string) ([]uint32, error) {
 }
 
 // Result is one ranked document.
-type Result struct {
-	Doc   uint32
-	Score int
-}
+type Result = ops.ScoredDoc
 
 // TopK ranks the documents matching at least one query term by summed
 // quantized impact, descending (ascending docid on ties), and returns
@@ -460,13 +457,5 @@ func (idx *Index) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...st
 	default:
 		return nil, fmt.Errorf("index: unknown top-k algorithm %q", algo)
 	}
-	docs := ops.Default().TopK(mode, k, lists, stats)
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	results := make([]Result, len(docs))
-	for i, d := range docs {
-		results[i] = Result{Doc: d.Doc, Score: int(d.Score)}
-	}
-	return results, nil
+	return ops.Default().TopK(mode, k, lists, stats), nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultio"
+	"repro/internal/ops"
 	"repro/internal/wal"
 )
 
@@ -900,39 +901,19 @@ func (l *Live) memViews() []memView {
 
 // Conjunctive answers an AND query across every segment.
 func (l *Live) Conjunctive(terms ...string) ([]uint32, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var lists [][]uint32
-	for _, seg := range l.sealed {
-		if seg.quarantined {
-			continue
-		}
-		local, err := seg.snap.Index().Conjunctive(terms...)
-		if err != nil {
-			return nil, err
-		}
-		if len(local) == 0 {
-			continue
-		}
-		g := l.maskGlobals(seg.ranges.globals(local), seg.epoch)
-		if len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	for _, v := range l.memViews() {
-		g := memConjunctive(v.m, terms)
-		if v.mask {
-			g = l.maskGlobals(g, v.epoch)
-		}
-		if len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	return mergeDisjoint(lists), nil
+	return l.boolean((*Index).Conjunctive, memConjunctive, terms)
 }
 
 // Disjunctive answers an OR query across every segment.
 func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
+	return l.boolean((*Index).Disjunctive, memDisjunctive, terms)
+}
+
+// boolean evaluates one boolean operator per segment — sealed through
+// the segment's index, mutable through mem — masks deletions, and merges
+// the per-segment answers. A document is visible in exactly one
+// segment, so the union is a disjoint sorted merge.
+func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem func(*MemSegment, []string) []uint32, terms []string) ([]uint32, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var lists [][]uint32
@@ -940,20 +921,16 @@ func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
 		if seg.quarantined {
 			continue
 		}
-		local, err := seg.snap.Index().Disjunctive(terms...)
+		local, err := sealed(seg.snap.Index(), terms...)
 		if err != nil {
 			return nil, err
 		}
-		if len(local) == 0 {
-			continue
-		}
-		g := l.maskGlobals(seg.ranges.globals(local), seg.epoch)
-		if len(g) > 0 {
+		if g := l.maskGlobals(seg.ranges.globals(local), seg.epoch); len(g) > 0 {
 			lists = append(lists, g)
 		}
 	}
 	for _, v := range l.memViews() {
-		g := memDisjunctive(v.m, terms)
+		g := mem(v.m, terms)
 		if v.mask {
 			g = l.maskGlobals(g, v.epoch)
 		}
@@ -961,54 +938,30 @@ func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
 			lists = append(lists, g)
 		}
 	}
-	return mergeDisjoint(lists), nil
-}
-
-// mergeDisjoint k-way merges ascending lists with no duplicates across
-// them (a document is visible in exactly one segment).
-func mergeDisjoint(lists [][]uint32) []uint32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]uint32, 0, total)
-	idxs := make([]int, len(lists))
-	for {
-		best := -1
-		for i, l := range lists {
-			if idxs[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[idxs[i]] < lists[best][idxs[best]] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, lists[best][idxs[best]])
-		idxs[best]++
-	}
+	return ops.UnionMany(lists), nil
 }
 
 // TopK ranks across every segment by summed quantized impact (score
 // descending, docid ascending on ties) — identical to TopK on a
-// from-scratch index over the surviving documents. Each sealed segment
-// is asked for k plus the number of tombstones that could mask its
-// results, so masking can never starve the merged candidate set.
+// from-scratch index over the surviving documents.
 func (l *Live) TopK(k int, terms ...string) ([]Result, error) {
+	return l.TopKWith("auto", k, nil, terms...)
+}
+
+// TopKWith is TopK with the sealed segments' pruning algorithm pinned
+// and, when stats is non-nil, their work counters summed into it (the
+// mutable segment is always scored exhaustively and not counted). Each
+// sealed segment is asked for k plus the number of tombstones that
+// could mask its results, so masking can never starve the merged
+// candidate set.
+func (l *Live) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...string) ([]Result, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if k <= 0 {
 		return nil, nil
 	}
-	var cands []Result
+	var lists [][]Result
+	var total ops.TopKStats
 	for _, seg := range l.sealed {
 		if seg.quarantined {
 			continue
@@ -1019,39 +972,35 @@ func (l *Live) TopK(k int, terms ...string) ([]Result, error) {
 				extra++
 			}
 		}
-		rs, err := seg.snap.Index().TopKWith("auto", k+extra, nil, terms...)
+		var st ops.TopKStats
+		rs, err := seg.snap.Index().TopKWith(algo, k+extra, &st, terms...)
 		if err != nil {
 			return nil, err
 		}
+		total.Add(st)
+		keep := rs[:0]
 		for _, r := range rs {
-			g := seg.ranges.toGlobal(r.Doc)
-			if l.maskedLocked(g, seg.epoch) {
-				continue
+			r.Doc = seg.ranges.toGlobal(r.Doc)
+			if !l.maskedLocked(r.Doc, seg.epoch) {
+				keep = append(keep, r)
 			}
-			cands = append(cands, Result{Doc: g, Score: r.Score})
 		}
+		lists = append(lists, keep)
 	}
 	for _, v := range l.memViews() {
-		for d, s := range memScores(v.m, terms) {
-			if v.mask && l.maskedLocked(d, v.epoch) {
-				continue
+		scores := memScores(v.m, terms)
+		cands := make([]Result, 0, len(scores))
+		for d, s := range scores {
+			if !v.mask || !l.maskedLocked(d, v.epoch) {
+				cands = append(cands, Result{Doc: d, Score: int(s)})
 			}
-			cands = append(cands, Result{Doc: d, Score: int(s)})
 		}
+		lists = append(lists, cands)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Doc < cands[j].Doc
-	})
-	if len(cands) > k {
-		cands = cands[:k]
+	if stats != nil {
+		*stats = total
 	}
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	return cands, nil
+	return ops.MergeRanked(lists, k), nil
 }
 
 // LiveStats is the live index's gauge set for /stats.

@@ -2,6 +2,8 @@ package index
 
 import (
 	"sort"
+
+	"repro/internal/ops"
 )
 
 // MemSegment is the live index's mutable in-memory segment: an
@@ -129,20 +131,14 @@ func (m *MemSegment) Postings(term string) ([]uint32, []uint16) {
 
 // memConjunctive intersects the segment's posting lists for terms.
 func memConjunctive(m *MemSegment, terms []string) []uint32 {
-	if len(terms) == 0 {
-		return nil
-	}
-	acc, _ := m.Postings(terms[0])
-	if acc == nil {
-		return nil
-	}
-	out := append([]uint32(nil), acc...)
-	for _, t := range terms[1:] {
-		next, _ := m.Postings(t)
-		if next == nil {
-			return nil
+	var out []uint32
+	for i, t := range terms {
+		list, _ := m.Postings(t)
+		if i == 0 {
+			out = append(out, list...) // postings are live: never hand them out
+		} else {
+			out = ops.IntersectSorted(out, list)
 		}
-		out = intersectSorted(out, next)
 		if len(out) == 0 {
 			return nil
 		}
@@ -152,19 +148,13 @@ func memConjunctive(m *MemSegment, terms []string) []uint32 {
 
 // memDisjunctive unions the segment's posting lists for terms.
 func memDisjunctive(m *MemSegment, terms []string) []uint32 {
-	var out []uint32
+	var lists [][]uint32
 	for _, t := range terms {
-		list, _ := m.Postings(t)
-		if len(list) == 0 {
-			continue
+		if list, _ := m.Postings(t); len(list) > 0 {
+			lists = append(lists, list)
 		}
-		if out == nil {
-			out = append([]uint32(nil), list...)
-			continue
-		}
-		out = unionSorted(out, list)
 	}
-	return out
+	return ops.UnionMany(lists)
 }
 
 // memScores accumulates quantized-impact scores for every document
@@ -181,45 +171,4 @@ func memScores(m *MemSegment, terms []string) map[uint32]uint32 {
 		}
 	}
 	return scores
-}
-
-// intersectSorted intersects two sorted lists into a's storage.
-func intersectSorted(a, b []uint32) []uint32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// unionSorted merges two sorted duplicate-free lists.
-func unionSorted(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

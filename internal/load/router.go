@@ -12,17 +12,19 @@ import (
 
 	"repro/internal/codecs"
 	"repro/internal/index"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
 // RouterRig stands up the full scale-out serving topology for a load
 // run: the corpus doc-partitioned across n shard servers — real
 // bvserve subprocesses when a binary is provided (real SIGKILL), else
-// in-process servers — fronted by an in-process bvrouter-equivalent
-// shard.Server. The load generator points at the router's BaseURL and
-// needs no changes: the router's /search response is a superset of
-// bvserve's, so the same ground-truth checker applies, and a killed
-// shard surfaces as a documented degraded partial, never a blast.
+// in-process servers — fronted by an in-process bvrouter equivalent
+// (server.NewFront over a shard.Router). The load generator points at
+// the router's BaseURL and needs no changes: the router's /search
+// response is a superset of bvserve's, so the same ground-truth
+// checker applies, and a killed shard surfaces as a documented
+// degraded partial, never a blast.
 type RouterRig struct {
 	Shards int
 
@@ -30,7 +32,7 @@ type RouterRig struct {
 	log   *log.Logger
 
 	mu     sync.Mutex
-	srv    *shard.Server
+	srv    *server.Server
 	addr   string
 	cancel context.CancelFunc
 	done   chan error
@@ -102,7 +104,7 @@ func (r *RouterRig) Start(ctx context.Context) error {
 		r.stopShards()
 		return err
 	}
-	srv := shard.NewServer(router, shard.ServerConfig{Logger: r.log, DrainDeadline: 200 * time.Millisecond})
+	srv := server.NewFront(router, server.Config{Logger: r.log, DrainDeadline: 200 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		r.stopShards()

@@ -183,7 +183,11 @@ func Union(postings []core.Posting) ([]uint32, error) {
 const heapWidth = 8
 
 // UnionMany merges k sorted lists: pairwise smallest-first for few
-// lists, a k-way heap merge for many (wide disjunctive queries).
+// lists, a k-way heap merge for many (wide disjunctive queries). It is
+// the one plain-list docid merge: the cached index OR, the live index's
+// per-segment answers and the router's per-shard answers all use it. It
+// reorders lists but never writes into a list, and the result never
+// aliases one.
 func UnionMany(lists [][]uint32) []uint32 {
 	switch len(lists) {
 	case 0:

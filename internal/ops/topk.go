@@ -95,10 +95,12 @@ type ImpactCursor interface {
 	BlocksDecoded() int
 }
 
-// ScoredDoc is one ranked result.
+// ScoredDoc is one ranked result: the one ranked-document type of the
+// repo (index.Result is an alias), so rankings cross the engine, the
+// live index, the router and the wire without conversion.
 type ScoredDoc struct {
 	Doc   uint32
-	Score uint32
+	Score int
 }
 
 // TopKStats reports where a top-k evaluation spent its work. The
@@ -111,6 +113,20 @@ type TopKStats struct {
 	BlocksTotal   int    `json:"blocksTotal"`
 	BlocksDecoded int    `json:"blocksDecoded"`
 	DocsScored    int    `json:"docsScored"`
+}
+
+// Add folds another evaluation's counters into s — how a live index
+// sums over its sealed segments and a router over its shards. Mode
+// keeps the first algorithm reported.
+func (s *TopKStats) Add(o TopKStats) {
+	if s.Mode == "" {
+		s.Mode = o.Mode
+	}
+	s.Lists += o.Lists
+	s.Postings += o.Postings
+	s.BlocksTotal += o.BlocksTotal
+	s.BlocksDecoded += o.BlocksDecoded
+	s.DocsScored += o.DocsScored
 }
 
 // topkHeap keeps the current k best results with the WORST at the root
@@ -138,8 +154,10 @@ func (h *topkHeap) threshold() int64 {
 	return int64(h.items[0].Score)
 }
 
-// offer inserts d if it beats the threshold. Candidates arrive in
-// increasing docid order, so a candidate tying the root always loses.
+// offer inserts d if it strictly beats the current worst. The scorers
+// offer in increasing docid order, so for them a candidate tying the
+// root's score always loses; MergeRanked offers in any order and the
+// docid tiebreak in worse decides.
 func (h *topkHeap) offer(d ScoredDoc) {
 	if len(h.items) < h.k {
 		h.items = append(h.items, d)
@@ -155,7 +173,7 @@ func (h *topkHeap) offer(d ScoredDoc) {
 		}
 		return
 	}
-	if int64(d.Score) <= int64(h.items[0].Score) {
+	if !worse(h.items[0], d) {
 		return
 	}
 	h.items[0] = d
@@ -183,6 +201,25 @@ func (h *topkHeap) sorted() []ScoredDoc {
 	out := h.items
 	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
 	return out
+}
+
+// MergeRanked returns the best k of every result in lists under the
+// strict-beat order (score desc, doc asc) — the one ranked merge: the
+// router folds per-shard top-k lists through it and the live index its
+// per-segment candidates. A document appears in at most one list
+// (shards and segments partition the documents), lists need not be
+// sorted, and the cost is O(total log k).
+func MergeRanked(lists [][]ScoredDoc, k int) []ScoredDoc {
+	if k <= 0 {
+		return nil
+	}
+	h := &topkHeap{k: k}
+	for _, l := range lists {
+		for _, d := range l {
+			h.offer(d)
+		}
+	}
+	return h.sorted()
 }
 
 // TopK returns the k highest-scoring documents across lists under the
@@ -268,7 +305,7 @@ func topkExhaustive(cursors []ImpactCursor, h *topkHeap) int {
 			}
 		}
 		scored++
-		h.offer(ScoredDoc{Doc: d, Score: score})
+		h.offer(ScoredDoc{Doc: d, Score: int(score)})
 	}
 	return scored
 }
@@ -365,7 +402,7 @@ func topkMaxScore(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 		}
 		if !pruned && score > thr {
 			scored++
-			h.offer(ScoredDoc{Doc: d, Score: uint32(score)})
+			h.offer(ScoredDoc{Doc: d, Score: int(score)})
 		}
 	}
 }
@@ -485,7 +522,7 @@ func topkBlockMax(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 		st = compactStates(st)
 		scored++
 		if score > thr {
-			h.offer(ScoredDoc{Doc: pivot, Score: uint32(score)})
+			h.offer(ScoredDoc{Doc: pivot, Score: int(score)})
 		}
 		for i, s := range st {
 			if s.doc != pivot {

@@ -98,7 +98,7 @@ func bruteTopK(k int, lists []*memImpactList) []ScoredDoc {
 	}
 	all := make([]ScoredDoc, 0, len(scores))
 	for d, s := range scores {
-		all = append(all, ScoredDoc{Doc: d, Score: s})
+		all = append(all, ScoredDoc{Doc: d, Score: int(s)})
 	}
 	sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
 	if len(all) > k {

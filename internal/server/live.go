@@ -1,12 +1,12 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/index"
 )
@@ -18,8 +18,9 @@ import (
 //	POST /ingest  {"text": "..."}   -> {"doc": N}   (acked after fsync)
 //	POST /delete  {"doc": N}        -> {"deleted": N}
 //
-// Reads (/search) scatter across the mutable segment and every sealed
-// segment with deletions masked; an ack from /ingest means the
+// Reads go through the same /search handler as every mode: index.Live
+// scatters across the mutable segment and every sealed segment with
+// deletions masked. An ack from /ingest means the
 // document is durable — it survives kill -9 — and immediately visible.
 // Writes pass through a bounded admission gate sized by
 // Config.IngestQueue: when the gate is full the request is shed with
@@ -32,14 +33,19 @@ import (
 // mutating l. The hot-reload loader machinery is disabled; /ingest,
 // /delete, and the live /stats and /healthz shapes are enabled.
 func NewLive(l *index.Live, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:  cfg,
-		log:  cfg.Logger,
-		sem:  make(chan struct{}, cfg.MaxInFlight),
-		live: l,
+	s := newServer(cfg)
+	s.live = l
+	s.ingestSem = make(chan struct{}, s.cfg.ingestQueue())
+	s.mode = mode{
+		pin:     func() (index.Searcher, func()) { return l, func() {} },
+		stats:   s.liveStats,
+		healthz: s.liveHealthz,
+		routes: func(app *http.ServeMux) {
+			app.HandleFunc("/reload", s.handleLiveSeal)
+			app.HandleFunc("/ingest", s.handleIngest)
+			app.HandleFunc("/delete", s.handleDelete)
+		},
 	}
-	s.ingestSem = make(chan struct{}, cfg.ingestQueue())
 	return s
 }
 
@@ -130,68 +136,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLiveSearch answers the same query surface as static /search,
-// scattered across the live index's segments with deletions masked.
-func (s *Server) handleLiveSearch(w http.ResponseWriter, r *http.Request) {
-	terms := index.Tokenize(r.URL.Query().Get("q"))
-	if len(terms) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing or empty q parameter"})
-		return
-	}
-	if len(terms) > s.cfg.MaxQueryTerms {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("query has %d terms, limit is %d", len(terms), s.cfg.MaxQueryTerms),
-		})
-		return
-	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "and"
-	}
-	resp := searchResponse{Query: terms, Mode: mode}
-	switch mode {
-	case "and":
-		docs, err := s.live.Conjunctive(terms...)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		resp.Docs, resp.Matches = docs, len(docs)
-	case "or":
-		docs, err := s.live.Disjunctive(terms...)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		resp.Docs, resp.Matches = docs, len(docs)
-	case "topk":
-		k := 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			var err error
-			if k, err = strconv.Atoi(ks); err != nil || k < 1 {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad k parameter"})
-				return
-			}
-		}
-		if k > s.cfg.MaxK {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("k=%d exceeds limit %d", k, s.cfg.MaxK),
-			})
-			return
-		}
-		ranked, err := s.live.TopK(k, terms...)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		resp.Ranked, resp.Matches = ranked, len(ranked)
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "mode must be and | or | topk"})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleLiveSeal is live mode's POST /reload: force-seal the mutable
 // segment so its documents move to an immutable on-disk segment now.
 func (s *Server) handleLiveSeal(w http.ResponseWriter, r *http.Request) {
@@ -210,40 +154,32 @@ func (s *Server) handleLiveSeal(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleLiveStats is /stats in live mode: serving-side gauges plus the
-// per-segment live shape — segment count, WAL depth, seal/compaction
-// recency — the operator dashboards and the chaos harness read.
-func (s *Server) handleLiveStats(w http.ResponseWriter, r *http.Request) {
+// liveStats adds the per-segment live shape — segment count, WAL
+// depth, seal/compaction recency — the operator dashboards and the
+// chaos harness read.
+func (s *Server) liveStats(body map[string]interface{}) {
 	st := s.live.Stats()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"documents":   st.VisibleDocs,
-		"live":        st,
-		"inFlight":    s.inFlight.Load(),
-		"sheds":       s.Sheds(),
-		"ingestSheds": s.IngestSheds(),
-		"ready":       s.Ready(),
-		"health":      s.live.Health(),
-		"latency":     s.LatencySummary(),
-		"statuses":    s.StatusCounts(),
-	})
+	body["documents"] = st.VisibleDocs
+	body["live"] = st
+	body["ingestSheds"] = s.IngestSheds()
+	body["health"] = s.live.Health()
 }
 
-// handleLiveHealthz is the live-mode liveness probe. Degraded here
-// means some sealed segment failed its checksums and is quarantined;
-// the mutable segment (and every healthy sealed segment) is still
-// serving and still accepting writes, and the taxonomy says so.
-func (s *Server) handleLiveHealthz(w http.ResponseWriter, r *http.Request) {
+// liveHealthz: degraded here means some sealed segment failed its
+// checksums and is quarantined; the mutable segment (and every healthy
+// sealed segment) is still serving and still accepting writes, and the
+// taxonomy says so.
+func (s *Server) liveHealthz(context.Context) (int, interface{}) {
 	h := s.live.Health()
 	if !h.Degraded {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return
+		return http.StatusOK, map[string]string{"status": "ok"}
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	return http.StatusOK, map[string]interface{}{
 		"status":              "degraded",
 		"detail":              "sealed segment quarantined, mutable segment live",
 		"quarantinedSegments": h.QuarantinedSegments,
 		"mutableLive":         h.MutableLive,
-	})
+	}
 }
 
 // decodeBody parses a small JSON request body, rejecting oversized or

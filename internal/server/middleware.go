@@ -183,18 +183,6 @@ func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
 	}
 }
 
-// hardened wraps an application handler in the full middleware chain,
-// outermost first: logging, panic recovery, URL validation, load
-// shedding, per-request timeout.
-func (s *Server) hardened(app http.Handler) http.Handler {
-	h := s.withRequestTimeout(app)
-	h = s.limitConcurrency(h)
-	h = s.validateURL(h)
-	h = s.recoverPanics(h)
-	h = s.logRequests(h)
-	return h
-}
-
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -55,7 +55,7 @@ func TestMiddlewareChain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var logBuf bytes.Buffer
 			s := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond, Logger: log.New(&logBuf, "", 0)})
-			h := s.hardened(tc.handler)
+			h := s.chain(tc.handler)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/x", nil))
 			if rec.Code != tc.wantStatus {
@@ -85,7 +85,7 @@ func TestLoadShedding(t *testing.T) {
 	s := newTestServer(t, Config{MaxInFlight: n, RequestTimeout: 5 * time.Second})
 	entered := make(chan struct{}, n)
 	release := make(chan struct{})
-	h := s.hardened(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := s.chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
 		w.Write([]byte("done"))

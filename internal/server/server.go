@@ -1,5 +1,9 @@
-// Package server wraps an index.Index behind a hardened HTTP stack: the
-// production deployment shell for the §A.1 search workload. It provides
+// Package server puts an index.Searcher — a static index snapshot, a
+// live index, or a shard router — behind one hardened HTTP stack: the
+// production deployment shell for the §A.1 search workload. All three
+// share one /search handler, one middleware chain and one lifecycle; a
+// serving mode contributes only its /stats and /healthz bodies and its
+// mode-only routes (see mode). The package provides
 //
 //   - lifecycle: an http.Server with read/write/idle timeouts, graceful
 //     context-driven shutdown with a drain deadline, and /healthz
@@ -8,12 +12,13 @@
 //     semaphore load shedding (429 + Retry-After), structured request
 //     logging, and request validation limits so adversarial queries
 //     cannot force unbounded intersection work;
-//   - hot reload: the served index lives in a reference-counted
-//     index.Snapshot behind an atomic.Pointer and is swapped without
-//     dropping in-flight requests, with rollback to the old index when
-//     the replacement fails to load. Each request brackets its work in
-//     Acquire/Release, so a superseded snapshot is Closed — releasing
-//     its mmap — exactly once, after the last in-flight query drains.
+//   - hot reload (static mode): the served index lives in a
+//     reference-counted index.Snapshot behind an atomic.Pointer and is
+//     swapped without dropping in-flight requests, with rollback to the
+//     old index when the replacement fails to load. Each request
+//     brackets its work in Acquire/Release, so a superseded snapshot is
+//     Closed — releasing its mmap — exactly once, after the last
+//     in-flight query drains.
 package server
 
 import (
@@ -103,11 +108,27 @@ func (c Config) ingestQueue() int {
 	return c.IngestQueue
 }
 
-// Server serves queries over a hot-swappable compressed index.
-type Server struct {
-	cfg Config
-	log *log.Logger
+// mode is everything that tells one way of serving from another. New,
+// NewLive and NewFront each fill one in; the handlers never ask which.
+type mode struct {
+	// pin returns the Searcher that answers one /search request and the
+	// release to call once the response is written.
+	pin func() (index.Searcher, func())
+	// stats adds the mode's keys to the /stats body.
+	stats func(body map[string]interface{})
+	// healthz answers the liveness probe: status code and JSON body.
+	healthz func(ctx context.Context) (int, interface{})
+	// routes registers the mode-only application routes; nil for none.
+	routes func(app *http.ServeMux)
+}
 
+// Server serves queries from whatever its mode pins per request.
+type Server struct {
+	cfg  Config
+	log  *log.Logger
+	mode mode
+
+	// Static mode (New): the hot-swappable snapshot and its cache.
 	snap     atomic.Pointer[index.Snapshot]
 	cache    *index.DecodedCache
 	ready    atomic.Bool
@@ -140,20 +161,54 @@ type Server struct {
 	ingestSheds atomic.Int64
 }
 
-// New returns a server that serves idx. idx must be non-nil.
-func New(idx *index.Index, cfg Config) *Server {
+func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg: cfg,
-		log: cfg.Logger,
-		sem: make(chan struct{}, cfg.MaxInFlight),
-	}
-	if cfg.CacheBytes > 0 {
-		s.cache = index.NewDecodedCache(cfg.CacheBytes)
+	return &Server{cfg: cfg, log: cfg.Logger, sem: make(chan struct{}, cfg.MaxInFlight)}
+}
+
+// New returns a server in static mode: it serves idx (non-nil) from a
+// hot-swappable snapshot and adds POST /reload.
+func New(idx *index.Index, cfg Config) *Server {
+	s := newServer(cfg)
+	if s.cfg.CacheBytes > 0 {
+		s.cache = index.NewDecodedCache(s.cfg.CacheBytes)
 		idx.AttachCache(s.cache)
 	}
 	s.snap.Store(index.NewSnapshot(idx))
 	s.generation.Store(1)
+	s.mode = mode{
+		pin: func() (index.Searcher, func()) {
+			snap := s.acquire()
+			return snap.Index(), snap.Release
+		},
+		stats:   s.staticStats,
+		healthz: s.staticHealthz,
+		routes:  func(app *http.ServeMux) { app.HandleFunc("/reload", s.handleReload) },
+	}
+	return s
+}
+
+// Backend is a Searcher that is not an index of this process — the
+// shard router — with the /stats keys and /healthz answer only it can
+// give. NewFront serves one.
+type Backend interface {
+	index.Searcher
+	// Gauges adds the backend's keys to the /stats body.
+	Gauges(body map[string]interface{})
+	// Healthz answers the liveness probe: status code and JSON body.
+	Healthz(ctx context.Context) (int, interface{})
+}
+
+// NewFront returns a server that fronts b: the same /search, limits,
+// load shedding, panic recovery and lifecycle as the index modes, with
+// no mode-only routes.
+func NewFront(b Backend, cfg Config) *Server {
+	s := newServer(cfg)
+	s.mode = mode{
+		pin:     func() (index.Searcher, func()) { return b, func() {} },
+		stats:   b.Gauges,
+		healthz: b.Healthz,
+	}
 	return s
 }
 
@@ -177,7 +232,7 @@ func (s *Server) SetLoader(fn func() (*index.Index, error)) {
 // Index returns the index currently being served. The server's own
 // reference keeps the current generation alive, so the pointer is safe
 // to use for as long as it remains current; request handlers that may
-// race a hot reload go through acquire instead.
+// race a hot reload go through acquire instead. Static mode only.
 func (s *Server) Index() *index.Index { return s.snap.Load().Index() }
 
 // Snapshot returns the reference-counted handle on the current index

@@ -243,12 +243,13 @@ func TestReloadRollsBackOnError(t *testing.T) {
 // race, because each request works on one atomic snapshot.
 func TestConcurrentSearchReload(t *testing.T) {
 	s := newTestServer(t, Config{MaxInFlight: 128})
-	alt := buildIndex(t, append(testDocs, "alternate snapshot")...)
 	flip := false
 	s.SetLoader(func() (*index.Index, error) {
 		flip = !flip // guarded by the reload mutex
+		// A fresh index per reload: Reload attaches the cache to what the
+		// loader returns, which must not be an index still in flight.
 		if flip {
-			return alt, nil
+			return buildIndex(t, append(testDocs, "alternate snapshot")...), nil
 		}
 		return buildIndex(t, testDocs...), nil
 	})

@@ -12,28 +12,19 @@ import (
 	"time"
 
 	"repro/internal/index"
+	"repro/internal/server"
 )
 
-// Request is one query as the router scatters it: boolean ("and"/"or")
-// or ranked ("topk" with K and an algorithm). Terms are already
-// tokenized. The same Request goes to every shard verbatim — doc
-// partitioning means shards differ in data, not in query.
-type Request struct {
-	Mode  string
-	Terms []string
-	K     int
-	Algo  string // topk only; "" means the server-side default
-}
-
-// Result is one shard replica's answer, in SHARD-LOCAL document ids.
-// The router maps ids back to the global space with GlobalID before
-// merging. Boolean answers fill Docs (sorted ascending); ranked
-// answers fill Ranked (score desc, local doc asc — the strict-beat
-// order every top-k algorithm in this repo emits).
-type Result struct {
-	Docs   []uint32
-	Ranked []index.Result
-}
+// Request and Merged are the query seam's types (index.Request,
+// index.Answer) under the names this package's callers already use. The
+// same Request goes to every shard verbatim — doc partitioning means
+// shards differ in data, not in query. A Backend answers in SHARD-LOCAL
+// document ids; the Router maps them to the global space with GlobalID
+// before merging and returns a Merged in global ids.
+type (
+	Request = index.Request
+	Merged  = index.Answer
+)
 
 // Backend is one replica of one shard: something that can answer a
 // Request over that shard's documents. The two implementations are
@@ -42,7 +33,7 @@ type Result struct {
 // topology). Search must honor ctx cancellation — hedging cancels the
 // losing attempt through it.
 type Backend interface {
-	Search(ctx context.Context, req Request) (Result, error)
+	index.Searcher
 	Health(ctx context.Context) error
 	Name() string
 }
@@ -67,36 +58,17 @@ func (b *IndexBackend) Name() string {
 
 func (b *IndexBackend) Health(ctx context.Context) error { return nil }
 
-func (b *IndexBackend) Search(ctx context.Context, req Request) (Result, error) {
+func (b *IndexBackend) Search(ctx context.Context, req Request) (index.Answer, error) {
 	if b.Delay > 0 {
 		t := time.NewTimer(b.Delay)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return Result{}, ctx.Err()
+			return index.Answer{}, ctx.Err()
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	switch req.Mode {
-	case "and":
-		docs, err := b.Idx.Conjunctive(req.Terms...)
-		return Result{Docs: docs}, err
-	case "or":
-		docs, err := b.Idx.Disjunctive(req.Terms...)
-		return Result{Docs: docs}, err
-	case "topk":
-		algo := req.Algo
-		if algo == "" {
-			algo = "auto"
-		}
-		ranked, err := b.Idx.TopKWith(algo, req.K, nil, req.Terms...)
-		return Result{Ranked: ranked}, err
-	default:
-		return Result{}, fmt.Errorf("shard: unknown mode %q", req.Mode)
-	}
+	return b.Idx.Search(ctx, req)
 }
 
 // HTTPBackend answers queries by calling a bvserve replica's /search
@@ -135,15 +107,11 @@ func (b *HTTPBackend) Health(ctx context.Context) error {
 	return nil
 }
 
-// searchWire mirrors server.searchResponse — the subset the router
-// consumes.
-type searchWire struct {
-	Docs   []uint32       `json:"docs"`
-	Ranked []index.Result `json:"ranked"`
-	Error  string         `json:"error"`
-}
-
-func (b *HTTPBackend) Search(ctx context.Context, req Request) (Result, error) {
+// Search asks the replica. A 4xx other than 429 is the caller's fault
+// — the same request would fail on every replica of every shard — so it
+// comes back as *index.BadRequest carrying the replica's own message;
+// anything else that is not a 200 is a replica failure.
+func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, error) {
 	q := url.Values{}
 	q.Set("q", strings.Join(req.Terms, " "))
 	q.Set("mode", req.Mode)
@@ -155,27 +123,32 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (Result, error) {
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, b.Base+"/search?"+q.Encode(), nil)
 	if err != nil {
-		return Result{}, err
+		return index.Answer{}, err
 	}
 	resp, err := b.client().Do(hreq)
 	if err != nil {
-		return Result{}, err
+		return index.Answer{}, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return Result{}, err
+		return index.Answer{}, err
 	}
-	var wire searchWire
+	var wire struct {
+		server.SearchResponse
+		Error string `json:"error"`
+	}
 	if jerr := json.Unmarshal(body, &wire); jerr != nil {
-		return Result{}, fmt.Errorf("shard: %s: bad /search response (%s): %w", b.Base, resp.Status, jerr)
+		return index.Answer{}, fmt.Errorf("shard: %s: bad /search response (%s): %w", b.Base, resp.Status, jerr)
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg := wire.Error
-		if msg == "" {
-			msg = resp.Status
-		}
-		return Result{}, fmt.Errorf("shard: %s: /search: %s", b.Base, msg)
+	if resp.StatusCode == http.StatusOK {
+		return index.Answer{Docs: wire.Docs, Ranked: wire.Ranked, TopK: wire.TopK}, nil
 	}
-	return Result{Docs: wire.Docs, Ranked: wire.Ranked}, nil
+	if wire.Error == "" {
+		wire.Error = resp.Status
+	}
+	if c := resp.StatusCode; c >= 400 && c < 500 && c != http.StatusTooManyRequests {
+		return index.Answer{}, &index.BadRequest{Msg: wire.Error}
+	}
+	return index.Answer{}, fmt.Errorf("shard: %s: /search: %s", b.Base, wire.Error)
 }

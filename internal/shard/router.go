@@ -1,16 +1,19 @@
 package shard
 
 import (
-	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/hist"
 	"repro/internal/index"
+	"repro/internal/ops"
 )
 
 // RouterConfig tunes scatter-gather behavior. Zero values pick
@@ -115,17 +118,33 @@ func (s *shardState) hedgeDelay(cfg RouterConfig) time.Duration {
 	return d
 }
 
+// backendPanic carries a Backend's panic out of its attempt goroutine —
+// where it would kill the process — so Router.Search can re-raise it on
+// the caller's goroutine, where the HTTP front's recovery turns it into
+// a logged 500.
+type backendPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *backendPanic) Error() string {
+	return fmt.Sprintf("shard: backend panic: %v\n%s", p.value, p.stack)
+}
+
 // search runs one shard's scatter leg: primary attempt on the
 // pick-of-two replica, hedged backup after the adaptive delay (or
 // immediate failover if the primary fails fast), first success wins
-// and cancels the loser through ctx.
-func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) (Result, error) {
+// and cancels the loser through ctx. An *index.BadRequest (or a
+// backendPanic) from any attempt ends the leg at once and comes back
+// unwrapped: the request would fail the same way on every replica, so
+// there is nothing to fail over to and the shard is not degraded.
+func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) (index.Answer, error) {
 	ctx, cancel := context.WithTimeout(ctx, cfg.ShardTimeout)
 	defer cancel()
 	start := time.Now()
 
 	type attempt struct {
-		res    Result
+		res    index.Answer
 		err    error
 		backup bool
 	}
@@ -136,13 +155,18 @@ func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) 
 		r.inflight.Add(1)
 		go func() {
 			defer r.inflight.Add(-1)
+			defer func() {
+				if p := recover(); p != nil {
+					ch <- attempt{err: &backendPanic{p, debug.Stack()}}
+				}
+			}()
 			res, err := r.backend.Search(ctx, req)
 			ch <- attempt{res: res, err: err, backup: backup}
 		}()
 	}
 	primary := s.pick(nil)
 	if primary == nil {
-		return Result{}, fmt.Errorf("shard %d: no replicas", s.id)
+		return index.Answer{}, fmt.Errorf("shard %d: no replicas", s.id)
 	}
 	launch(primary, false)
 
@@ -175,6 +199,11 @@ func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) 
 				}
 				return a.res, nil
 			}
+			var bad *index.BadRequest
+			var pan *backendPanic
+			if errors.As(a.err, &bad) || errors.As(a.err, &pan) {
+				return index.Answer{}, a.err
+			}
 			if firstErr == nil {
 				firstErr = a.err
 			}
@@ -195,33 +224,24 @@ func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) 
 				}
 			}
 			s.degraded.Add(1)
-			return Result{}, fmt.Errorf("shard %d: %w", s.id, firstErr)
+			return index.Answer{}, fmt.Errorf("shard %d: %w", s.id, firstErr)
 		case <-ctx.Done():
 			// The shard budget is gone with attempts still in flight;
 			// their goroutines deliver into the buffered channel and exit
 			// on their own.
 			s.degraded.Add(1)
-			return Result{}, fmt.Errorf("shard %d: %w", s.id, ctx.Err())
+			return index.Answer{}, fmt.Errorf("shard %d: %w", s.id, ctx.Err())
 		}
 	}
-}
-
-// Merged is a scatter-gather answer in global document ids. Partial
-// marks that one or more shards failed: Docs/Ranked are then an exact
-// answer over the shards that responded — a documented subset of the
-// truth, never a wrong result.
-type Merged struct {
-	Docs     []uint32
-	Ranked   []index.Result
-	Partial  bool
-	Degraded []int // ids of shards that failed this query
 }
 
 // Router fans queries out to every shard in parallel and merges the
 // per-shard answers exactly. One Router is safe for concurrent use.
 type Router struct {
-	cfg    RouterConfig
-	shards []*shardState
+	cfg     RouterConfig
+	shards  []*shardState
+	queries atomic.Int64 // Search calls
+	partial atomic.Int64 // of those, answered with Partial set
 }
 
 // NewRouter builds a router over replicas[shard][replica]. Every shard
@@ -247,158 +267,71 @@ func NewRouter(cfg RouterConfig, replicas [][]Backend) (*Router, error) {
 // Shards reports the shard count N of the partition this router serves.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Search scatters req to every shard, gathers, and merges. It fails
-// only when every shard fails; any partial set of responses yields a
-// Merged with Partial set and the dead shards listed.
+// Search scatters req to every shard, gathers, and merges exactly:
+// shards partition the documents and GlobalID is strictly increasing
+// per shard, so the union of the mapped postings is the single-index
+// list and the best k of the mapped per-shard top-k lists (k pushed
+// down) is the single-index ranking, both restricted to the shards
+// that answered. It fails only when every shard fails or the request
+// itself is bad; any partial set of responses yields a Merged with
+// Partial set and the dead shards listed. Backends' answers are mapped
+// to global ids in place — a Backend must return slices it owns.
 func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
+	r.queries.Add(1)
 	n := len(r.shards)
-	results := make([]Result, n)
+	answers := make([]index.Answer, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i, st := range r.shards {
 		wg.Add(1)
 		go func(i int, st *shardState) {
 			defer wg.Done()
-			results[i], errs[i] = st.search(ctx, req, r.cfg)
+			answers[i], errs[i] = st.search(ctx, req, r.cfg)
 		}(i, st)
 	}
 	wg.Wait()
 
-	var m Merged
-	live := make([]int, 0, n)
-	for i := range errs {
-		if errs[i] != nil {
+	m := Merged{Shards: n}
+	var stats ops.TopKStats
+	docs := make([][]uint32, 0, n)
+	ranked := make([][]index.Result, 0, n)
+	for s, a := range answers {
+		var bad *index.BadRequest
+		var pan *backendPanic
+		switch {
+		case errors.As(errs[s], &pan):
+			panic(pan)
+		case errors.As(errs[s], &bad):
+			return Merged{}, bad
+		case errs[s] != nil:
 			m.Partial = true
-			m.Degraded = append(m.Degraded, i)
-		} else {
-			live = append(live, i)
+			m.Degraded = append(m.Degraded, s)
+			continue
+		}
+		for i := range a.Docs {
+			a.Docs[i] = GlobalID(a.Docs[i], s, n)
+		}
+		for i := range a.Ranked {
+			a.Ranked[i].Doc = GlobalID(a.Ranked[i].Doc, s, n)
+		}
+		docs = append(docs, a.Docs)
+		ranked = append(ranked, a.Ranked)
+		if a.TopK != nil {
+			stats.Add(*a.TopK)
 		}
 	}
-	if len(live) == 0 {
-		return Merged{}, fmt.Errorf("shard: all %d shards failed: %w", n, errs[0])
+	if len(m.Degraded) == n {
+		return Merged{}, fmt.Errorf("shard: all %d shards failed: %w: %w", n, index.ErrUnavailable, errs[0])
 	}
-	switch req.Mode {
-	case "topk":
-		m.Ranked = mergeRanked(results, live, n, req.K)
-	default:
-		m.Docs = mergeDocs(results, live, n)
+	if m.Partial {
+		r.partial.Add(1)
+	}
+	if req.Mode == "topk" {
+		m.Ranked, m.TopK = ops.MergeRanked(ranked, req.K), &stats
+	} else {
+		m.Docs = ops.UnionMany(docs)
 	}
 	return m, nil
-}
-
-// docHeap merges per-shard sorted posting lists (already mapped to
-// global ids) by ascending doc. Entries index into lists.
-type docHead struct {
-	doc   uint32
-	shard int // index into the lists slice, for advancing
-}
-type docHeap []docHead
-
-func (h docHeap) Len() int            { return len(h) }
-func (h docHeap) Less(i, j int) bool  { return h[i].doc < h[j].doc }
-func (h docHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *docHeap) Push(x interface{}) { *h = append(*h, x.(docHead)) }
-func (h *docHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// mergeDocs N-way-merges the live shards' sorted local posting lists
-// into one global sorted list. Shards partition the doc space, so the
-// merged list is exactly the single-index answer restricted to the
-// live shards — no duplicates to resolve.
-func mergeDocs(results []Result, live []int, n int) []uint32 {
-	total := 0
-	for _, s := range live {
-		total += len(results[s].Docs)
-	}
-	out := make([]uint32, 0, total)
-	h := make(docHeap, 0, len(live))
-	pos := make([]int, len(results))
-	for _, s := range live {
-		if len(results[s].Docs) > 0 {
-			h = append(h, docHead{doc: GlobalID(results[s].Docs[0], s, n), shard: s})
-			pos[s] = 1
-		}
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		head := h[0]
-		out = append(out, head.doc)
-		s := head.shard
-		if pos[s] < len(results[s].Docs) {
-			h[0] = docHead{doc: GlobalID(results[s].Docs[pos[s]], s, n), shard: s}
-			pos[s]++
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
-}
-
-// rankHead is one shard's current best ranked result during the top-k
-// merge, ordered strict-beat: higher score first, global doc id as the
-// deterministic tiebreak — the exact order every top-k algorithm in
-// this repo emits, so the merged stream is the single-index ranking.
-type rankHead struct {
-	res   index.Result
-	shard int
-}
-type rankHeap []rankHead
-
-func (h rankHeap) Len() int { return len(h) }
-func (h rankHeap) Less(i, j int) bool {
-	if h[i].res.Score != h[j].res.Score {
-		return h[i].res.Score > h[j].res.Score
-	}
-	return h[i].res.Doc < h[j].res.Doc
-}
-func (h rankHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *rankHeap) Push(x interface{}) { *h = append(*h, x.(rankHead)) }
-func (h *rankHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// mergeRanked merges the live shards' top-k lists (k pushed down, so
-// each holds at most k entries) under strict-beat order and keeps the
-// global best k. Each shard list arrives sorted (score desc, local doc
-// asc) and GlobalID preserves per-shard doc order, so this is an exact
-// N-way sorted merge: the result is bit-identical to the single-index
-// top-k restricted to live shards.
-func mergeRanked(results []Result, live []int, n, k int) []index.Result {
-	h := make(rankHeap, 0, len(live))
-	pos := make([]int, len(results))
-	for _, s := range live {
-		if len(results[s].Ranked) > 0 {
-			r := results[s].Ranked[0]
-			r.Doc = GlobalID(r.Doc, s, n)
-			h = append(h, rankHead{res: r, shard: s})
-			pos[s] = 1
-		}
-	}
-	heap.Init(&h)
-	out := make([]index.Result, 0, k)
-	for len(h) > 0 && len(out) < k {
-		head := h[0]
-		out = append(out, head.res)
-		s := head.shard
-		if pos[s] < len(results[s].Ranked) {
-			r := results[s].Ranked[pos[s]]
-			r.Doc = GlobalID(r.Doc, s, n)
-			pos[s]++
-			h[0] = rankHead{res: r, shard: s}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
 }
 
 // ReplicaStats is one replica's load gauge, for /stats.
@@ -438,6 +371,35 @@ func (r *Router) Stats() []ShardStats {
 		out = append(out, ss)
 	}
 	return out
+}
+
+// Gauges adds the router's /stats keys: router-level counters plus the
+// per-shard rows (latency percentiles, hedges fired/won, degraded
+// queries, per-replica in-flight). With Healthz it makes *Router a
+// server.Backend.
+func (r *Router) Gauges(body map[string]interface{}) {
+	body["shards"] = r.Shards()
+	body["queries"] = r.queries.Load()
+	body["partialAnswers"] = r.partial.Load()
+	body["perShard"] = r.Stats()
+}
+
+// Healthz live-probes every replica. Full coverage is "ok"; shards with
+// no healthy replica make the fleet "partial" (still 200 — the router
+// is alive and serving what it can); zero healthy shards is "down" with
+// 503.
+func (r *Router) Healthz(ctx context.Context) (int, interface{}) {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	down := r.Health(ctx)
+	if len(down) == 0 {
+		return http.StatusOK, map[string]interface{}{"status": "ok", "shards": r.Shards()}
+	}
+	status, code := "partial", http.StatusOK
+	if len(down) == r.Shards() {
+		status, code = "down", http.StatusServiceUnavailable
+	}
+	return code, map[string]interface{}{"status": status, "shards": r.Shards(), "shardsDown": down}
 }
 
 // Health probes every replica of every shard in parallel and returns

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/codecs"
 	"repro/internal/index"
+	"repro/internal/server"
 )
 
 // testCorpus generates a deterministic corpus with long, short, and
@@ -191,8 +193,8 @@ func TestRouterIdentity(t *testing.T) {
 // errBackend fails every call; it stands in for a dead replica.
 type errBackend struct{}
 
-func (errBackend) Search(ctx context.Context, req Request) (Result, error) {
-	return Result{}, errors.New("replica down")
+func (errBackend) Search(ctx context.Context, req Request) (index.Answer, error) {
+	return index.Answer{}, errors.New("replica down")
 }
 func (errBackend) Health(ctx context.Context) error { return errors.New("replica down") }
 func (errBackend) Name() string                     { return "dead" }
@@ -340,7 +342,7 @@ func TestRouterHTTP(t *testing.T) {
 	docs := testCorpus(90)
 	ref := buildIndex(t, docs)
 	r := newTestRouter(t, docs, 2, 1, RouterConfig{})
-	srv := NewServer(r, ServerConfig{})
+	srv := server.NewFront(r, server.Config{Logger: log.New(io.Discard, "", 0)})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +397,7 @@ func TestRouterHTTP(t *testing.T) {
 	if int(m["matches"].(float64)) != len(want) {
 		t.Fatalf("and matches = %v, want %d", m["matches"], len(want))
 	}
-	if m["partial"].(bool) {
+	if m["partial"] == true {
 		t.Fatal("unexpected partial")
 	}
 	m = getJSON("/search?q=even&mode=topk&k=5&algo=bmw", http.StatusOK)
@@ -443,7 +445,7 @@ func TestRouterHTTPPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(r, ServerConfig{})
+	srv := server.NewFront(r, server.Config{Logger: log.New(io.Discard, "", 0)})
 	h := srv.Handler()
 
 	rec := httptest.NewRecorder()
@@ -451,7 +453,7 @@ func TestRouterHTTPPartial(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search with dead shard: status %d", rec.Code)
 	}
-	var sr routerResponse
+	var sr server.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -475,6 +477,62 @@ func TestRouterHTTPPartial(t *testing.T) {
 	}
 	if hz["status"] != "partial" {
 		t.Fatalf("healthz status = %v, want partial", hz["status"])
+	}
+}
+
+// TestRouterRelaysShardBadRequest: the router's own limit admits
+// k=5000 but both bvserve shards refuse it (their -max-k is 1000). That
+// is the caller's error, so the router front must answer the shards'
+// own 400 body — not "all shards failed"/503 — without failing over,
+// hedging, or counting either shard degraded.
+func TestRouterRelaysShardBadRequest(t *testing.T) {
+	quiet := log.New(io.Discard, "", 0)
+	parts, err := Partition(testCorpus(60), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fronts := make([]*server.Server, 2)
+	backends := make([][]Backend, 2)
+	for s, part := range parts {
+		fronts[s] = server.New(buildIndex(t, part), server.Config{Logger: quiet})
+		ts := httptest.NewServer(fronts[s].Handler())
+		defer ts.Close()
+		// Two replicas of the same server: a failover would show up as a
+		// second request in its status counters.
+		backends[s] = []Backend{&HTTPBackend{Base: ts.URL}, &HTTPBackend{Base: ts.URL}}
+	}
+	// Hedging on, but far beyond the round trip: only failover could
+	// send a second attempt.
+	r, err := NewRouter(RouterConfig{Hedge: true, HedgeMin: time.Minute, HedgeMax: time.Minute}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := server.NewFront(r, server.Config{Logger: quiet, MaxK: 100000}).Handler()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, mustReq(t, "/search?q=common&mode=topk&k=5000"))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("k over the shards' limit: status %d (%s), want 400", rec.Code, rec.Body)
+	}
+	direct := httptest.NewRecorder()
+	fronts[0].Handler().ServeHTTP(direct, mustReq(t, "/search?q=common&mode=topk&k=5000"))
+	if rec.Body.String() != direct.Body.String() || !strings.Contains(rec.Body.String(), "k=5000 exceeds limit 1000") {
+		t.Fatalf("router body %q, shard body %q", rec.Body, direct.Body)
+	}
+	for s, st := range r.Stats() {
+		if st.Degraded != 0 {
+			t.Errorf("shard %d counted degraded for a caller error", s)
+		}
+		// Shard 0 also answered the direct request above.
+		if got, want := fronts[s].StatusCounts()["4xx"], int64(2-s); got != want {
+			t.Errorf("shard %d refused %d requests, want %d (no failover)", s, got, want)
+		}
+	}
+	// The fleet is intact: the same query within limits still answers.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, mustReq(t, "/search?q=common&mode=topk&k=5"))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("follow-up query: status %d (%s)", rec.Code, rec.Body)
 	}
 }
 

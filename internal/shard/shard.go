@@ -19,15 +19,15 @@
 //     remote over a bvserve /search endpoint (backend.go);
 //   - Router: parallel scatter-gather with load-based pick-of-two
 //     replica selection, adaptive hedged requests, exact merge
-//     (sorted N-way for postings, strict-beat heap order for top-k),
-//     and per-shard degradation — a dead shard yields a documented
-//     partial answer, never a failed query (router.go);
-//   - Server: the hardened HTTP front the bvrouter command serves
-//     (http.go).
+//     (ops.UnionMany for postings, ops.MergeRanked for top-k), and
+//     per-shard degradation — a dead shard yields a documented
+//     partial answer, never a failed query (router.go). A Router is
+//     an index.Searcher and a server.Backend: cmd/bvrouter serves it
+//     through the same server.Server front bvserve uses.
 //
 // Merge exactness rests on the partition being a disjoint cover with
 // an order-preserving local→global map per shard: boolean results
-// concatenate under an N-way sorted merge into exactly the single-index
+// union under an N-way sorted merge into exactly the single-index
 // list, and per-shard top-k with local-docid tie-breaks restricts the
 // global (score desc, doc asc) order shard by shard, so merging the
 // per-shard top-k lists and keeping the best k reproduces the global
