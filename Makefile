@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench shardbench walbench figures experiments loadtest oracle clean
+.PHONY: all build vet test race bench figures experiments loadtest oracle clean
 
 all: build vet test
 
@@ -19,62 +19,10 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# One testing.B benchmark per paper table/figure plus the ablations.
-# Also emits the engine-vs-serial comparison as results/BENCH_engine.json,
-# the decode-kernel microbenchmarks as results/BENCH_kernels.json, and
-# the index build/open benchmarks (sharded build, eager BVIX2 vs
-# mmap-backed BVIX3 time-to-first-query) as results/BENCH_index.json
-# for regression tracking. The hybrid matrix (advisor pick vs every
-# candidate codec across the density×distribution grid, plus the
-# mixed/galloping speedup cells) is self-gating: the run fails if any
-# cell's pick is Pareto-dominated or no kernel cell clears 1.5x. The
-# top-k matrix (exhaustive vs MaxScore vs Block-Max-WAND through a
-# mapped BVIX3+impacts file) gates on ranking identity, real block
-# skipping (decode counters), and BMW wall-clock speedup.
+# The one producer of performance numbers: the measurement spine
+# (BENCHMARK.json, benchmark/README.md).
 bench:
-	mkdir -p results
-	$(GO) test -run NONE -bench BenchmarkEngine -benchmem -json ./internal/ops > results/BENCH_engine.json
-	$(GO) test -run NONE -bench '.' -benchmem -json ./internal/kernels > results/BENCH_kernels.json
-	$(GO) test -run NONE -bench BenchmarkIndex -benchmem -json ./internal/index > results/BENCH_index.json
-	$(GO) test -run TestHybridBenchGate -count=1 ./internal/bench \
-		-args -hybrid.full -hybrid.out $(CURDIR)/results/BENCH_hybrid.json
-	$(GO) test -run TestTopKPruningGate -count=1 ./internal/bench \
-		-args -topk.full -topk.out $(CURDIR)/results/BENCH_topk.json
-	$(GO) test -run TestShardBenchGate -count=1 ./internal/bench \
-		-args -shard.full -shard.out $(CURDIR)/results/BENCH_shard.json
-	$(GO) test -run TestWALBenchGate -count=1 ./internal/bench \
-		-args -wal.full -wal.out $(CURDIR)/results/BENCH_wal.json
-	@for f in BENCH_engine BENCH_kernels BENCH_index; do \
-		if ! test -s results/$$f.json || ! grep -q 'ns/op' results/$$f.json; then \
-			echo "FATAL: results/$$f.json missing or contains no benchmark output (did the -bench pattern match?)" >&2; \
-			exit 1; \
-		fi; \
-	done
-	@for f in BENCH_hybrid BENCH_topk BENCH_shard BENCH_wal; do \
-		if ! test -s results/$$f.json || ! grep -q '"pass": true' results/$$f.json; then \
-			echo "FATAL: results/$$f.json missing or gates failed" >&2; \
-			exit 1; \
-		fi; \
-	done
-	$(GO) test -bench=. -benchmem -timeout 60m ./...
-
-# Scale-out serving matrix alone: identity through the router at 4
-# shards, modeled fleet-capacity scaling at 1/2/4/8 shards, and the
-# hedged-request matrix under an injected straggler replica. Writes
-# (and gates on) results/BENCH_shard.json.
-shardbench:
-	mkdir -p results
-	$(GO) test -run TestShardBenchGate -count=1 -v ./internal/bench \
-		-args -shard.full -shard.out $(CURDIR)/results/BENCH_shard.json
-
-# WAL fsync-policy sweep alone: per-append fsync vs group-commit
-# windows under 8 concurrent appenders, gated on exact replay
-# round-trips and on group commit never being materially slower than
-# per-append sync. Writes (and gates on) results/BENCH_wal.json.
-walbench:
-	mkdir -p results
-	$(GO) test -run TestWALBenchGate -count=1 -v ./internal/bench \
-		-args -wal.full -wal.out $(CURDIR)/results/BENCH_wal.json
+	bash benchmark/run.sh
 
 # Full chaos-mode load run: 30s of open-loop zipfian traffic against a
 # real bvserve subprocess while the orchestrator hot-reloads it (SIGHUP

@@ -17,7 +17,7 @@ import (
 // posting via its self-describing binary encoding, so an index written
 // with one codec loads without knowing which codec built it.
 //
-// Three on-disk formats exist:
+// Two on-disk formats exist:
 //
 //   - "BVIX3" (current serving format, written by WriteBVIX3): three
 //     section-aligned, individually CRC-checked segments (term dict,
@@ -31,8 +31,10 @@ import (
 //     the magic surfaces as core.ErrChecksum rather than a confusing
 //     decode error — and a version byte this build does not know yields
 //     core.ErrVersion.
-//   - Legacy "BVIX1" (the unversioned seed format): magic then payload,
-//     no version byte, no checksum. Read still accepts it.
+//
+// The unversioned, unchecksummed seed format ("BVIX1") is no longer
+// read: nothing writes it, and Read rejects its magic with
+// core.ErrVersion.
 //
 // BVIX2 payload layout (little-endian): doc count u32, term count u32,
 // then per term (sorted by name for determinism): name (u16 len +
@@ -113,7 +115,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read loads an index written by WriteTo, current or legacy format.
+// Read loads an index written by WriteTo or WriteBVIX3.
 func Read(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(indexMagic))
@@ -134,7 +136,7 @@ func Read(r io.Reader) (*Index, error) {
 	case bytes.Equal(magic, indexMagic):
 		return readVersioned(br)
 	case bytes.Equal(magic, legacyMagic):
-		return readLegacy(br)
+		return nil, fmt.Errorf("index: %w: BVIX1 (the unversioned, unchecksummed seed format) is no longer read; rebuild the index", core.ErrVersion)
 	default:
 		return nil, fmt.Errorf("index: bad magic %q", magic)
 	}
@@ -265,101 +267,4 @@ func parsePayload(b []byte) (*Index, error) {
 		return nil, fmt.Errorf("index: %d trailing bytes after last term", p.remaining())
 	}
 	return idx, nil
-}
-
-// readLegacy handles the unversioned, unchecksummed BVIX1 seed format,
-// streaming as the original reader did but with allocations bounded by
-// the bytes actually present rather than by declared counts.
-func readLegacy(r io.Reader) (*Index, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("index: reading header: %w", err)
-	}
-	docs := int(binary.LittleEndian.Uint32(hdr[0:]))
-	idx := &Index{
-		terms: map[string]termEntry{},
-		docs:  docs,
-	}
-	termCount := int(binary.LittleEndian.Uint32(hdr[4:]))
-	for i := 0; i < termCount; i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %d name: %w", i, err)
-		}
-		freqs, err := readFreqs(r, docs)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %q freqs: %w", name, err)
-		}
-		blob, err := readBlob(r)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %q posting: %w", name, err)
-		}
-		p, err := codecs.Decode(blob)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %q posting: %w", name, err)
-		}
-		if p.Len() != len(freqs) {
-			return nil, fmt.Errorf("index: term %q: %d postings but %d frequencies",
-				name, p.Len(), len(freqs))
-		}
-		idx.terms[name] = termEntry{posting: p, freqs: freqs}
-	}
-	return idx, nil
-}
-
-// readN reads exactly n bytes, growing the buffer in bounded chunks so
-// a corrupt length field costs at most one chunk of allocation before
-// the stream runs dry, instead of an n-sized up-front allocation.
-func readN(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 16
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		k := min(chunk, n-len(buf))
-		start := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func readString(r io.Reader) (string, error) {
-	var l [2]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", err
-	}
-	b, err := readN(r, int(binary.LittleEndian.Uint16(l[:])))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func readFreqs(r io.Reader, docs int) ([]uint16, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(l[:]))
-	if n > docs {
-		return nil, fmt.Errorf("%d postings declared in a %d-document index", n, docs)
-	}
-	b, err := readN(r, 2*n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-	return out, nil
-}
-
-func readBlob(r io.Reader) ([]byte, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return nil, err
-	}
-	return readN(r, int(binary.LittleEndian.Uint32(l[:])))
 }

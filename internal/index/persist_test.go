@@ -2,52 +2,13 @@ package index
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
 )
-
-// writeLegacy serializes idx in the unversioned seed format ("BVIX1",
-// no version byte, no checksum) so tests can prove Read still accepts
-// files written before the checksummed format existed.
-func writeLegacy(t testing.TB, idx *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(legacyMagic)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(idx.docs))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(idx.terms)))
-	buf.Write(hdr[:])
-	names := make([]string, 0, len(idx.terms))
-	for t := range idx.terms {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := idx.terms[name]
-		var rec []byte
-		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(name)))
-		rec = append(rec, name...)
-		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(e.freqs)))
-		for _, f := range e.freqs {
-			rec = binary.LittleEndian.AppendUint16(rec, f)
-		}
-		blob, err := e.posting.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(blob)))
-		rec = append(rec, blob...)
-		buf.Write(rec)
-	}
-	return buf.Bytes()
-}
 
 // reseal recomputes the CRC trailer of a versioned file after a test
 // mutated its body, keeping the mutation visible to the parser.
@@ -99,39 +60,6 @@ func TestReadRejectsBitFlips(t *testing.T) {
 	}
 }
 
-func TestReadLegacyFormat(t *testing.T) {
-	idx := buildTestIndex(t, "Roaring")
-	legacy := writeLegacy(t, idx)
-	loaded, err := Read(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if loaded.Docs() != idx.Docs() || loaded.Terms() != idx.Terms() {
-		t.Fatalf("legacy shape: %d docs %d terms, want %d/%d",
-			loaded.Docs(), loaded.Terms(), idx.Docs(), idx.Terms())
-	}
-	a, _ := idx.Conjunctive("compressed", "lists")
-	b, _ := loaded.Conjunctive("compressed", "lists")
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("legacy query results differ: %v vs %v", a, b)
-	}
-	// Legacy files carry no checksum, so corruption is only caught when
-	// it breaks decoding — but it must never panic.
-	for i := len(legacyMagic); i < len(legacy); i++ {
-		mut := make([]byte, len(legacy))
-		copy(mut, legacy)
-		mut[i] ^= 0x01
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("legacy flip at byte %d panicked: %v", i, r)
-				}
-			}()
-			Read(bytes.NewReader(mut))
-		}()
-	}
-}
-
 func TestReadUnsupportedVersion(t *testing.T) {
 	file := serialize(t, buildTestIndex(t, "VB"))
 	file[len(indexMagic)] = 9 // future version
@@ -163,19 +91,6 @@ func TestReadRejectsLyingCounts(t *testing.T) {
 	reseal(trailing)
 	if _, err := Read(bytes.NewReader(trailing)); err == nil {
 		t.Fatal("trailing bytes accepted")
-	}
-
-	// Legacy path with a huge declared frequency count: the docs bound
-	// rejects it before any allocation.
-	idx := buildTestIndex(t, "Roaring")
-	legacy := writeLegacy(t, idx)
-	// First term record starts after magic+header; its freq count sits
-	// after the u16 name length + name bytes.
-	p := len(legacyMagic) + 8
-	nameLen := int(binary.LittleEndian.Uint16(legacy[p:]))
-	binary.LittleEndian.PutUint32(legacy[p+2+nameLen:], 0xFFFFFFF0)
-	if _, err := Read(bytes.NewReader(legacy)); err == nil {
-		t.Fatal("legacy huge freq count accepted")
 	}
 }
 

@@ -3,8 +3,8 @@ package index
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -51,20 +51,23 @@ func TestOpenFileWrapsChecksumBVIX2(t *testing.T) {
 	}
 }
 
-// BVIX1 has no checksum, so its corruption signature is a truncation
-// error; the chain must still carry the sentinel io error through the
-// path-wrapping layer of OpenFile.
+// BVIX1 (the unversioned, unchecksummed seed format) is retired: both
+// open paths refuse its magic with ErrVersion, naming the format, so a
+// retry loop gives up instead of waiting for the file to heal.
 func TestOpenFileWrapsTruncationBVIX1(t *testing.T) {
-	legacy := writeLegacy(t, buildTestIndex(t, "Roaring"))
-	cut := legacy[:len(legacy)-3]
-	p := writeTemp3(t, cut)
+	file := append([]byte("BVIX1"), make([]byte, 8)...) // magic + an empty header
+	p := writeTemp3(t, file)
 
 	_, err := OpenFile(p)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("OpenFile on truncated BVIX1 = %v, want errors.Is io.ErrUnexpectedEOF", err)
+	if !errors.Is(err, core.ErrVersion) || !strings.Contains(err.Error(), "BVIX1") {
+		t.Fatalf("OpenFile on BVIX1 = %v, want errors.Is ErrVersion naming BVIX1", err)
 	}
-	if _, rerr := Read(bytes.NewReader(cut)); !errors.Is(rerr, io.ErrUnexpectedEOF) {
-		t.Fatalf("Read on truncated BVIX1 = %v, want errors.Is io.ErrUnexpectedEOF", rerr)
+	if _, rerr := Read(bytes.NewReader(file)); !errors.Is(rerr, core.ErrVersion) {
+		t.Fatalf("Read on BVIX1 = %v, want errors.Is ErrVersion", rerr)
+	}
+	if !core.IsPermanentFormat(err) || core.IsTransient(err) {
+		t.Fatalf("BVIX1 misclassified: permanent=%v transient=%v",
+			core.IsPermanentFormat(err), core.IsTransient(err))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Microbenchmarks per width, specialized vs reference, reported as
 // decoded MB/s (SetBytes counts the 512 output bytes of one 128-value
-// block). `make bench` writes them to results/BENCH_kernels.json.
+// block). A developer tool: nothing it prints is committed.
 
 func benchInputs(b uint) (horiz, vert []byte) {
 	rng := rand.New(rand.NewSource(int64(b) + 100))

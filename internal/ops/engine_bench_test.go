@@ -153,8 +153,12 @@ func TestEngineAllocRegression(t *testing.T) {
 		// on every AND/OR in both evaluators, so its floor is higher and
 		// the ≥2x criterion applies to the families where the evaluator —
 		// not the codec — owns the decode buffers.
+		// Under -race sync.Pool drops a quarter of Puts at random, so the
+		// absolute count wanders by a pool refill and only the t.Logf above
+		// reports it; the relative checks below see the same drops on both
+		// sides and keep binding.
 		budget := map[string]float64{"SIMDBP128*": 8, "Roaring": 16, "WAH": 48}[codec]
-		if engine > budget {
+		if engine > budget && !raceEnabled {
 			t.Errorf("%s: engine allocates %.1f/op, budget %.1f", codec, engine, budget)
 		}
 		if codec == "WAH" {

@@ -65,13 +65,17 @@ func TestFullLifecycle(t *testing.T) {
 	go func() { served <- s.Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 
+	// Keep-alives off: a pooled transport can park a dialed-but-unused
+	// connection, which the server holds in StateNew and net/http's
+	// Shutdown waits 5 s on — the whole of this test's drain wait.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	getJSON := func(method, path string) (int, map[string]interface{}) {
 		t.Helper()
 		req, err := http.NewRequest(method, base+path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			t.Fatalf("%s %s: %v", method, path, err)
 		}
@@ -113,7 +117,7 @@ func TestFullLifecycle(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(base + "/search?q=compressed&mode=topk&k=2")
+			resp, err := client.Get(base + "/search?q=compressed&mode=topk&k=2")
 			if err != nil {
 				trafficErr <- err
 				return

@@ -60,6 +60,9 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	}
 }
 
+// TestGroupCommitShares appends from 32 goroutines into one commit
+// window and requires replay to return exactly what was appended: every
+// record once, byte for byte, in whatever order the appenders interleaved.
 func TestGroupCommitShares(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _, err := Open(path, Options{SyncEvery: 5 * time.Millisecond})
@@ -67,23 +70,34 @@ func TestGroupCommitShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	want := testRecords(32)
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for _, r := range want {
 		wg.Add(1)
-		go func(i int) {
+		go func(r []byte) {
 			defer wg.Done()
-			if err := l.Append([]byte(fmt.Sprintf("c%d", i))); err != nil {
+			if err := l.Append(r); err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}(r)
 	}
 	wg.Wait()
 	recs, err := Replay(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 32 {
-		t.Fatalf("replayed %d records, want 32", len(recs))
+	if len(recs) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
+	}
+	missing := make(map[string]bool, len(want))
+	for _, r := range want {
+		missing[string(r)] = true
+	}
+	for _, r := range recs {
+		if !missing[string(r)] {
+			t.Fatalf("replayed record %q was not appended, or came back twice", r)
+		}
+		delete(missing, string(r))
 	}
 }
 
