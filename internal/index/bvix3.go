@@ -826,7 +826,7 @@ var openMapFile = mapfile.Open
 // memory-mapped where the platform supports it (see mapfile) and their
 // postings materialize lazily on first access, so time-to-first-query
 // is dominated by checksum verification rather than decompression.
-// BVIX1/BVIX2 files are read eagerly, exactly as Read would. The
+// BVIX2 files are read eagerly, exactly as Read would. The
 // returned index must be Closed when it came from a BVIX3 file and is
 // no longer being served; see Index.Close for the ownership rules.
 func OpenFile(path string) (*Index, error) {

@@ -65,7 +65,7 @@ func (idx *Index) Health() Health { return idx.health }
 // BVIX3 file fails section checksums, falls back to degraded mode:
 // quarantine what cannot be verified, serve the rest, and report the
 // damage through Index.Health. Files whose header or geometry is
-// unusable — and corrupt BVIX1/BVIX2 files, whose single trailer
+// unusable — and corrupt BVIX2 files, whose single trailer
 // checksum cannot localize damage — still fail outright.
 func OpenFileDegraded(path string) (*Index, error) {
 	mf, err := openMapFile(path)

@@ -79,10 +79,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // SearchResponse is the one /search JSON shape, written by every mode
-// and read back by shard.HTTPBackend. TopK carries the pruning work
-// counters for ranked queries, so callers (and the load harness) can
-// see how many blocks the chosen algorithm actually decoded. The last
-// three fields appear only on a router's answers.
+// with AppendJSON and read back by shard.HTTPBackend with
+// ParseSearchResponse (wire.go); its tags are the spec both follow.
+// TopK carries the pruning work counters for ranked queries, so callers
+// (and the load harness) can see how many blocks the chosen algorithm
+// actually decoded. The last three fields appear only on a router's
+// answers.
 type SearchResponse struct {
 	Query          []string       `json:"query"`
 	Mode           string         `json:"mode"`
@@ -139,7 +141,8 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 // reload never changes the index mid-query and never unmaps bytes a
 // query is still reading. A partial answer from a router is still 200:
 // a dead shard is a documented subset ("shard 3 of 8 degraded, results
-// partial"), not a failed query.
+// partial"), not a failed query. The answer is encoded into one buffer
+// sized from it and written with its Content-Length.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, err := s.parseSearch(r.URL.Query())
 	if err != nil {
@@ -161,11 +164,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Mode == "topk" {
 		matches = len(ans.Ranked)
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{
+	resp := SearchResponse{
 		Query: req.Terms, Mode: req.Mode,
 		Docs: ans.Docs, Ranked: ans.Ranked, Matches: matches, TopK: ans.TopK,
 		Partial: ans.Partial, DegradedShards: ans.Degraded, Shards: ans.Shards,
-	})
+	}
+	body := resp.AppendJSON(nil)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; the logging middleware
+	// still records the status.
+	_, _ = w.Write(body)
 }
 
 // writeSearchError is the one /search error shape: 400 with the bare

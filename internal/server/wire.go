@@ -1,0 +1,435 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+
+	"repro/internal/index"
+)
+
+// The /search wire format is SearchResponse's encoding/json encoding:
+// its struct tags are the spec. AppendJSON writes it and
+// ParseSearchResponse reads it, by hand for the docid and ranked arrays
+// that make up nearly every byte of a large answer, and through
+// encoding/json for the small members, whose string escaping rules
+// (HTML characters, U+2028/U+2029, invalid UTF-8) live there. Both are
+// pinned to encoding/json by test: AppendJSON byte for byte, the parser
+// by a differential fuzz.
+
+// AppendJSON appends the bytes json.NewEncoder(w).Encode(r) writes —
+// same member order, same omitempty rules, same trailing newline — to
+// dst and returns the extended slice. It grows dst once, by a bound on
+// the encoded size of the answer's arrays.
+func (r *SearchResponse) AppendJSON(dst []byte) []byte {
+	// A docid is at most 10 digits plus a comma; a ranked row at most
+	// `{"Doc":4294967295,"Score":-9223372036854775808},`, 48 bytes.
+	n := 128 + 11*len(r.Docs) + 48*len(r.Ranked)
+	for _, t := range r.Query {
+		n += len(t) + 3
+	}
+	dst = slices.Grow(dst, n)
+
+	dst = append(dst, `{"query":`...)
+	dst = appendMarshal(dst, r.Query)
+	dst = append(dst, `,"mode":`...)
+	dst = appendMarshal(dst, r.Mode)
+	if len(r.Docs) > 0 {
+		dst = append(dst, `,"docs":[`...)
+		dst = strconv.AppendUint(dst, uint64(r.Docs[0]), 10)
+		for _, d := range r.Docs[1:] {
+			dst = append(dst, ',')
+			dst = strconv.AppendUint(dst, uint64(d), 10)
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Ranked) > 0 {
+		dst = append(dst, `,"ranked":[`...)
+		for i, x := range r.Ranked {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"Doc":`...)
+			dst = strconv.AppendUint(dst, uint64(x.Doc), 10)
+			dst = append(dst, `,"Score":`...)
+			dst = strconv.AppendInt(dst, int64(x.Score), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"matches":`...)
+	dst = strconv.AppendInt(dst, int64(r.Matches), 10)
+	if r.TopK != nil {
+		dst = append(dst, `,"topk":`...)
+		dst = appendMarshal(dst, r.TopK)
+	}
+	if r.Partial {
+		dst = append(dst, `,"partial":true`...)
+	}
+	if len(r.DegradedShards) > 0 {
+		dst = append(dst, `,"degradedShards":`...)
+		dst = appendMarshal(dst, r.DegradedShards)
+	}
+	if r.Shards != 0 {
+		dst = append(dst, `,"shards":`...)
+		dst = strconv.AppendInt(dst, int64(r.Shards), 10)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendMarshal appends json.Marshal(v). The error is dropped because v
+// is one of SearchResponse's small members: strings, ints and a struct
+// of them, which always marshal.
+func appendMarshal(dst []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(dst, b...)
+}
+
+// The members ParseSearchResponse knows, in SearchResponse order plus
+// the error shape's one member. Keys match them as encoding/json does,
+// ignoring case.
+const (
+	fieldQuery = iota
+	fieldMode
+	fieldDocs
+	fieldRanked
+	fieldMatches
+	fieldTopK
+	fieldPartial
+	fieldDegradedShards
+	fieldShards
+	fieldError
+)
+
+var wireFields = [...]string{"query", "mode", "docs", "ranked", "matches", "topk", "partial", "degradedShards", "shards", "error"}
+
+// ParseSearchResponse reads a /search body in one left-to-right pass:
+// an answer, or the {"error":msg} refusal, whose message comes back as
+// errMsg. The docid and ranked arrays are parsed by hand; every other
+// member is handed to json.Unmarshal as its raw bytes, and an unknown
+// member is skipped once json.Valid accepts it. Whatever it accepts,
+// json.Unmarshal into SearchResponse plus an `error` string accepts with
+// the same values. It is stricter in three ways, none of which a
+// server's body exercises: a member may appear once, a ranked row must
+// read {"Doc":N,"Score":M} in that order, and the body must be an
+// object. A body it rejects yields an error and no answer.
+func ParseSearchResponse(body []byte) (resp SearchResponse, errMsg string, err error) {
+	p := wireParser{b: body}
+	if !p.consume('{') {
+		return SearchResponse{}, "", p.fail("expected '{'")
+	}
+	small := [...]any{
+		fieldQuery: &resp.Query, fieldMode: &resp.Mode, fieldMatches: &resp.Matches,
+		fieldTopK: &resp.TopK, fieldPartial: &resp.Partial, fieldDegradedShards: &resp.DegradedShards,
+		fieldShards: &resp.Shards, fieldError: &errMsg,
+	}
+	var seen uint16
+	if !p.consume('}') {
+		for {
+			key, err := p.key()
+			if err != nil {
+				return SearchResponse{}, "", err
+			}
+			f := fieldOf(key)
+			if f >= 0 {
+				if seen&(1<<f) != 0 {
+					return SearchResponse{}, "", p.fail(fmt.Sprintf("duplicate member %q", wireFields[f]))
+				}
+				seen |= 1 << f
+			}
+			switch f {
+			case fieldDocs:
+				resp.Docs, err = p.docs()
+			case fieldRanked:
+				resp.Ranked, err = p.ranked()
+			default:
+				at := p.i
+				raw, verr := p.value()
+				switch {
+				case verr != nil:
+					err = verr
+				case f >= 0:
+					if jerr := json.Unmarshal(raw, small[f]); jerr != nil {
+						err = fmt.Errorf("server: /search body: member %q at byte %d: %w", wireFields[f], at, jerr)
+					}
+				case !json.Valid(raw):
+					err = p.fail(fmt.Sprintf("invalid value for member %q", key))
+				}
+			}
+			if err != nil {
+				return SearchResponse{}, "", err
+			}
+			if p.consume(',') {
+				continue
+			}
+			if p.consume('}') {
+				break
+			}
+			return SearchResponse{}, "", p.fail("expected ',' or '}'")
+		}
+	}
+	p.space()
+	if p.i != len(p.b) {
+		return SearchResponse{}, "", p.fail("trailing data after the object")
+	}
+	return resp, errMsg, nil
+}
+
+// fieldOf returns the index in wireFields of the member key names, or
+// -1 for a member SearchResponse does not have.
+func fieldOf(key []byte) int {
+	for f, name := range wireFields {
+		if bytes.EqualFold(key, []byte(name)) {
+			return f
+		}
+	}
+	return -1
+}
+
+// wireParser is the read position in one /search body.
+type wireParser struct {
+	b []byte
+	i int
+}
+
+// fail reports what is wrong at the read position.
+func (p *wireParser) fail(what string) error {
+	return fmt.Errorf("server: /search body: %s at byte %d", what, p.i)
+}
+
+// space skips JSON white space.
+func (p *wireParser) space() {
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips white space and then c, reporting whether c was there.
+func (p *wireParser) consume(c byte) bool {
+	p.space()
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// literal skips white space and then s, reporting whether s was there.
+func (p *wireParser) literal(s string) bool {
+	p.space()
+	if bytes.HasPrefix(p.b[p.i:], []byte(s)) {
+		p.i += len(s)
+		return true
+	}
+	return false
+}
+
+// key reads a member name and the colon after it. A name holding an
+// escape is unquoted by encoding/json, the rare path.
+func (p *wireParser) key() ([]byte, error) {
+	p.space()
+	raw, escaped, err := p.str()
+	if err != nil {
+		return nil, err
+	}
+	key := raw[1 : len(raw)-1]
+	if escaped {
+		var s string
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return nil, p.fail("bad member name")
+		}
+		key = []byte(s)
+	}
+	if !p.consume(':') {
+		return nil, p.fail("expected ':'")
+	}
+	return key, nil
+}
+
+// str reads the string starting at p.i and returns its raw bytes,
+// quotes included, and whether it holds a backslash escape. Escapes are
+// left for encoding/json to check.
+func (p *wireParser) str() (raw []byte, escaped bool, err error) {
+	if p.i >= len(p.b) || p.b[p.i] != '"' {
+		return nil, false, p.fail("expected a string")
+	}
+	for i := p.i + 1; i < len(p.b); i++ {
+		switch c := p.b[i]; {
+		case c == '"':
+			raw, p.i = p.b[p.i:i+1], i+1
+			return raw, escaped, nil
+		case c == '\\':
+			escaped = true
+			i++
+		case c < 0x20:
+			p.i = i
+			return nil, false, p.fail("control character in string")
+		}
+	}
+	return nil, false, p.fail("unterminated string")
+}
+
+// value skips one value of any kind and returns its raw bytes, for the
+// caller to validate: strings are skipped whole, brackets are counted,
+// and a scalar ends at the first delimiter.
+func (p *wireParser) value() ([]byte, error) {
+	p.space()
+	start, depth := p.i, 0
+	for p.i < len(p.b) {
+		switch c := p.b[p.i]; c {
+		case '"':
+			if _, _, err := p.str(); err != nil {
+				return nil, err
+			}
+		case '{', '[':
+			depth++
+			p.i++
+		case '}', ']':
+			if depth == 0 {
+				return p.b[start:p.i], nil
+			}
+			depth--
+			p.i++
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return p.b[start:p.i], nil
+			}
+			p.i++
+		default:
+			p.i++
+			continue
+		}
+		if depth == 0 {
+			return p.b[start:p.i], nil
+		}
+	}
+	if depth > 0 {
+		return nil, p.fail("unterminated array or object")
+	}
+	return p.b[start:p.i], nil
+}
+
+// integer reads the digits of a JSON integer at p.i — "0", or a
+// non-zero digit and more digits — failing on none or once the value
+// exceeds max. A leading zero ends the number, so "01" fails at the
+// caller's next delimiter.
+func (p *wireParser) integer(max uint64) (uint64, bool) {
+	b, i := p.b, p.i
+	if i >= len(b) || b[i]-'0' > 9 {
+		return 0, false
+	}
+	v := uint64(b[i] - '0')
+	i++
+	if v != 0 {
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if v > max/10 {
+				return 0, false
+			}
+			if v = v*10 + uint64(b[i]-'0'); v > max {
+				return 0, false
+			}
+		}
+	}
+	p.i = i
+	return v, true
+}
+
+// docs reads the "docs" array: null, or docids up to 2^32-1. The slice
+// is sized by the commas before the first ']'.
+func (p *wireParser) docs() ([]uint32, error) {
+	if p.literal("null") {
+		return nil, nil
+	}
+	if !p.consume('[') {
+		return nil, p.fail("expected '[' opening docs")
+	}
+	n := 1
+	if end := bytes.IndexByte(p.b[p.i:], ']'); end >= 0 {
+		n += bytes.Count(p.b[p.i:p.i+end], []byte{','})
+	}
+	docs := make([]uint32, 0, n)
+	if p.consume(']') {
+		return docs, nil
+	}
+	for {
+		p.space()
+		v, ok := p.integer(math.MaxUint32)
+		if !ok {
+			return nil, p.fail("bad docid")
+		}
+		docs = append(docs, uint32(v))
+		if p.consume(',') {
+			continue
+		}
+		if p.consume(']') {
+			return docs, nil
+		}
+		return nil, p.fail("expected ',' or ']' in docs")
+	}
+}
+
+// ranked reads the "ranked" array: null, or {"Doc":N,"Score":M} rows.
+// The slice is sized by the '{' before the first ']'.
+func (p *wireParser) ranked() ([]index.Result, error) {
+	if p.literal("null") {
+		return nil, nil
+	}
+	if !p.consume('[') {
+		return nil, p.fail("expected '[' opening ranked")
+	}
+	n := 0
+	if end := bytes.IndexByte(p.b[p.i:], ']'); end >= 0 {
+		n = bytes.Count(p.b[p.i:p.i+end], []byte{'{'})
+	}
+	ranked := make([]index.Result, 0, n)
+	if p.consume(']') {
+		return ranked, nil
+	}
+	for {
+		if !p.consume('{') || !p.literal(`"Doc"`) || !p.consume(':') {
+			return nil, p.fail(`expected {"Doc": in ranked`)
+		}
+		p.space()
+		doc, ok := p.integer(math.MaxUint32)
+		if !ok {
+			return nil, p.fail("bad ranked Doc")
+		}
+		if !p.consume(',') || !p.literal(`"Score"`) || !p.consume(':') {
+			return nil, p.fail(`expected ,"Score": in ranked`)
+		}
+		p.space()
+		neg := p.i < len(p.b) && p.b[p.i] == '-'
+		limit := uint64(math.MaxInt)
+		if neg {
+			p.i++
+			limit++
+		}
+		mag, ok := p.integer(limit)
+		if !ok {
+			return nil, p.fail("bad ranked Score")
+		}
+		score := int(mag)
+		if neg {
+			score = -score
+		}
+		if !p.consume('}') {
+			return nil, p.fail("expected '}' closing a ranked row")
+		}
+		ranked = append(ranked, index.Result{Doc: uint32(doc), Score: score})
+		if p.consume(',') {
+			continue
+		}
+		if p.consume(']') {
+			return ranked, nil
+		}
+		return nil, p.fail("expected ',' or ']' in ranked")
+	}
+}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,9 +71,9 @@ func (b *IndexBackend) Search(ctx context.Context, req Request) (index.Answer, e
 }
 
 // HTTPBackend answers queries by calling a bvserve replica's /search
-// endpoint. It reuses the server's JSON response shape, so any bvserve
-// — local process or remote machine — can stand behind the router
-// unchanged.
+// endpoint and reading the body with server.ParseSearchResponse, the
+// decoder of the format every front writes, so any bvserve — local
+// process or remote machine — can stand behind the router unchanged.
 type HTTPBackend struct {
 	// Base is the replica's root URL, e.g. "http://10.0.0.7:8080".
 	Base   string
@@ -130,25 +129,52 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, er
 		return index.Answer{}, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := readBody(resp.Body, resp.ContentLength, maxSearchBody)
 	if err != nil {
-		return index.Answer{}, err
+		return index.Answer{}, fmt.Errorf("shard: %s: /search (%s): %w", b.Base, resp.Status, err)
 	}
-	var wire struct {
-		server.SearchResponse
-		Error string `json:"error"`
-	}
-	if jerr := json.Unmarshal(body, &wire); jerr != nil {
-		return index.Answer{}, fmt.Errorf("shard: %s: bad /search response (%s): %w", b.Base, resp.Status, jerr)
+	wire, errMsg, perr := server.ParseSearchResponse(body)
+	if perr != nil {
+		return index.Answer{}, fmt.Errorf("shard: %s: bad /search response (%s): %w", b.Base, resp.Status, perr)
 	}
 	if resp.StatusCode == http.StatusOK {
 		return index.Answer{Docs: wire.Docs, Ranked: wire.Ranked, TopK: wire.TopK}, nil
 	}
-	if wire.Error == "" {
-		wire.Error = resp.Status
+	if errMsg == "" {
+		errMsg = resp.Status
 	}
 	if c := resp.StatusCode; c >= 400 && c < 500 && c != http.StatusTooManyRequests {
-		return index.Answer{}, &index.BadRequest{Msg: wire.Error}
+		return index.Answer{}, &index.BadRequest{Msg: errMsg}
 	}
-	return index.Answer{}, fmt.Errorf("shard: %s: /search: %s", b.Base, wire.Error)
+	return index.Answer{}, fmt.Errorf("shard: %s: /search: %s", b.Base, errMsg)
+}
+
+// maxSearchBody bounds one replica's /search body: far above any answer
+// a shard sends, small enough that a broken replica cannot exhaust the
+// router's memory.
+const maxSearchBody = 64 << 20
+
+// readBody reads a response body of at most limit bytes into one
+// buffer, allocated once from Content-Length when the sender declared it
+// (length >= 0) and grown otherwise. A longer body is refused with an
+// error naming the limit, never truncated.
+func readBody(r io.Reader, length, limit int64) ([]byte, error) {
+	if length > limit {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", length, limit)
+	}
+	if length >= 0 {
+		buf := make([]byte, length)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("reading a %d-byte body: %w", length, err)
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(buf)) > limit {
+		return nil, fmt.Errorf("body exceeds the %d-byte limit", limit)
+	}
+	return buf, nil
 }
