@@ -31,7 +31,6 @@ func main() {
 		sfs        = flag.String("sf", "1", "comma-separated SSB/TPCH scale factors")
 		trials     = flag.Int("trials", 3, "timing repetitions (best is reported)")
 		codecsFlag = flag.String("codecs", "", "comma-separated codec names (default: all 24)")
-		engine     = flag.Bool("engine", false, "evaluate query plans on the pooled parallel ops.Engine instead of the serial reference")
 		summary    = flag.Bool("summary", false, "print per-setting winners after each table")
 		format     = flag.String("format", "table", "output format: table | csv")
 	)
@@ -44,11 +43,10 @@ func main() {
 		return
 	}
 
-	cfg, err := buildConfig(*domainLog, *densities, *ratio, *realScale, *sfs, *trials, *codecsFlag)
+	cfg, err := buildConfig(*domainLog, *densities, *ratio, *realScale, *sfs, *trials, *codecsFlag, *format)
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfg.UseEngine = *engine
 
 	var exps []bench.Experiment
 	if *expFlag == "all" {
@@ -68,13 +66,10 @@ func main() {
 		if err != nil {
 			fatal("%s: %v", e.ID, err)
 		}
-		switch *format {
-		case "csv":
+		if *format == "csv" {
 			bench.PrintCSV(os.Stdout, ms)
-		case "table":
+		} else {
 			bench.PrintTable(os.Stdout, fmt.Sprintf("[%s] %s", e.ID, e.Title), ms)
-		default:
-			fatal("unknown format %q (table | csv)", *format)
 		}
 		if *summary {
 			fmt.Println(bench.Summary(ms))
@@ -82,12 +77,22 @@ func main() {
 	}
 }
 
-// buildConfig assembles the experiment configuration from flag values.
+// buildConfig assembles the experiment configuration from flag values,
+// rejecting any value that would fail only once an experiment runs.
 func buildConfig(domainLog int, densities string, ratio int, realScale float64,
-	sfs string, trials int, codecsFlag string) (bench.Config, error) {
+	sfs string, trials int, codecsFlag, format string) (bench.Config, error) {
 	cfg := bench.Default()
-	if domainLog < 10 || domainLog > 30 {
+	switch {
+	case domainLog < 10 || domainLog > 30:
 		return cfg, fmt.Errorf("domain 2^%d out of range [2^10, 2^30]", domainLog)
+	case ratio < 1:
+		return cfg, fmt.Errorf("ratio %d must be >= 1", ratio)
+	case trials < 1:
+		return cfg, fmt.Errorf("trials %d must be >= 1", trials)
+	case realScale <= 0:
+		return cfg, fmt.Errorf("scale %v must be > 0", realScale)
+	case format != "table" && format != "csv":
+		return cfg, fmt.Errorf("unknown format %q (table | csv)", format)
 	}
 	cfg.Domain = 1 << uint(domainLog)
 	cfg.Ratio = ratio

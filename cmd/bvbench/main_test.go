@@ -5,7 +5,7 @@ import (
 )
 
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig(20, "0.01,0.1", 500, 0.5, "1,10", 2, "Roaring,VB")
+	cfg, err := buildConfig(20, "0.01,0.1", 500, 0.5, "1,10", 2, "Roaring,VB", "csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestBuildConfig(t *testing.T) {
 }
 
 func TestBuildConfigDefaults(t *testing.T) {
-	cfg, err := buildConfig(22, "", 1000, 1.0/64, "1", 3, "")
+	cfg, err := buildConfig(22, "", 1000, 1.0/64, "1", 3, "", "table")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,15 @@ func TestBuildConfigErrors(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"domain too small", func() error { _, err := buildConfig(5, "", 10, 1, "1", 1, ""); return err }},
-		{"domain too big", func() error { _, err := buildConfig(40, "", 10, 1, "1", 1, ""); return err }},
-		{"bad density", func() error { _, err := buildConfig(20, "abc", 10, 1, "1", 1, ""); return err }},
-		{"density out of range", func() error { _, err := buildConfig(20, "1.5", 10, 1, "1", 1, ""); return err }},
-		{"bad sf", func() error { _, err := buildConfig(20, "", 10, 1, "x", 1, ""); return err }},
+		{"domain too small", func() error { _, err := buildConfig(5, "", 10, 1, "1", 1, "", "table"); return err }},
+		{"domain too big", func() error { _, err := buildConfig(40, "", 10, 1, "1", 1, "", "table"); return err }},
+		{"bad density", func() error { _, err := buildConfig(20, "abc", 10, 1, "1", 1, "", "table"); return err }},
+		{"density out of range", func() error { _, err := buildConfig(20, "1.5", 10, 1, "1", 1, "", "table"); return err }},
+		{"bad sf", func() error { _, err := buildConfig(20, "", 10, 1, "x", 1, "", "table"); return err }},
+		{"ratio below 1", func() error { _, err := buildConfig(20, "", 0, 1, "1", 1, "", "table"); return err }},
+		{"trials below 1", func() error { _, err := buildConfig(20, "", 10, 1, "1", 0, "", "table"); return err }},
+		{"scale not positive", func() error { _, err := buildConfig(20, "", 10, 0, "1", 1, "", "table"); return err }},
+		{"unknown format", func() error { _, err := buildConfig(20, "", 10, 1, "1", 1, "", "json"); return err }},
 	}
 	for _, c := range cases {
 		if c.run() == nil {

@@ -36,19 +36,6 @@ type Config struct {
 	Trials int
 	// Codecs restricts the methods run (nil = all 24).
 	Codecs []string
-	// UseEngine evaluates query plans on the pooled ops.Engine (cost
-	// ordering, arena buffers, parallel sub-plans) instead of the serial
-	// reference evaluator. Results are identical; timings answer "what
-	// does the serving engine get out of this codec".
-	UseEngine bool
-}
-
-// evalPlan dispatches plan evaluation to the configured evaluator.
-func evalPlan(cfg Config, plan ops.Expr, ps []core.Posting) ([]uint32, error) {
-	if cfg.UseEngine {
-		return ops.Default().Eval(plan, ps)
-	}
-	return ops.Eval(plan, ps)
 }
 
 // Default returns a configuration sized for a laptop-scale run
@@ -173,7 +160,7 @@ func measureQuery(ms []Measurement, cfg Config, exp, setting string, c core.Code
 	var err error
 	var sink []uint32
 	t := timeIt(cfg.Trials, func() {
-		sink, err = evalPlan(cfg, plan, ps)
+		sink, err = ops.Eval(plan, ps)
 	})
 	if err != nil {
 		return ms, err

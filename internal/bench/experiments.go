@@ -141,7 +141,7 @@ func workloadExperiment(id, title string, build func(cfg Config) []datasets.Work
 						}
 						setting := w.Name + "/" + q.Name
 						var sink []uint32
-						t := timeIt(cfg.Trials, func() { sink, err = evalPlan(cfg, q.Plan, ps) })
+						t := timeIt(cfg.Trials, func() { sink, err = ops.Eval(q.Plan, ps) })
 						if err != nil {
 							return nil, err
 						}
@@ -214,7 +214,7 @@ func fig6() Experiment {
 				count := map[string]int{}
 				for _, q := range w.Queries {
 					var sink []uint32
-					t := timeIt(1, func() { sink, err = evalPlan(cfg, q.Plan, ps) })
+					t := timeIt(1, func() { sink, err = ops.Eval(q.Plan, ps) })
 					if err != nil {
 						return nil, err
 					}
@@ -280,7 +280,7 @@ func fig7() Experiment {
 						}
 						var sink []uint32
 						var evalErr error
-						t := timeIt(cfg.Trials, func() { sink, evalErr = evalPlan(cfg, plan, ps) })
+						t := timeIt(cfg.Trials, func() { sink, evalErr = ops.Eval(plan, ps) })
 						if evalErr != nil {
 							return nil, evalErr
 						}

@@ -457,5 +457,5 @@ func (idx *Index) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...st
 	default:
 		return nil, fmt.Errorf("index: unknown top-k algorithm %q", algo)
 	}
-	return ops.Default().TopK(mode, k, lists, stats), nil
+	return ops.TopK(mode, k, lists, stats), nil
 }

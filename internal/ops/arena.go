@@ -13,31 +13,20 @@ const (
 	arenaMaxRetainBufs  = 64
 )
 
-// arena is the per-query scratch allocator behind Engine and Intersect.
-// Decode and merge targets are drawn from a free list that put refills,
-// so steady-state query evaluation performs no heap allocation. The
-// postings/lists/children fields are stack-disciplined collection
-// scratch for plan nodes: a node records the current length, appends its
-// entries, and truncates back on the way out, which keeps reuse safe
-// under recursion.
+// arena is the per-call scratch allocator behind Intersect. Decode and
+// probe targets are drawn from a free list that put refills, so
+// steady-state intersection performs no heap allocation for scratch.
+// The postings field is stack-disciplined operand scratch: a caller
+// records the current length, appends its entries, and truncates back
+// on the way out.
 //
-// An arena is NOT safe for concurrent use; the engine hands each
-// parallel worker its own arena and copies results across the boundary.
+// An arena is NOT safe for concurrent use; every Intersect call takes
+// its own from the pool.
 type arena struct {
 	free     [][]uint32 // reusable buffers, length reset by get
 	retained int        // sum of caps across free
 
 	postings []core.Posting // operand scratch (stack-disciplined)
-	lists    [][]uint32     // list-collection scratch (stack-disciplined)
-	children []childRef     // plan-child ordering scratch (stack-disciplined)
-	heads    []heapHead     // k-way merge heap scratch (leaf-level use only)
-}
-
-// childRef orders a plan node's children by estimated cost without
-// mutating the shared Expr tree.
-type childRef struct {
-	cost int
-	idx  int
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
@@ -45,7 +34,7 @@ var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 func getArena() *arena { return arenaPool.Get().(*arena) }
 
 // putArena trims retained scratch to the caps above and returns a to the
-// pool. Collection scratch is truncated but keeps its capacity.
+// pool. Operand scratch is truncated but keeps its capacity.
 func putArena(a *arena) {
 	for len(a.free) > 0 && (len(a.free) > arenaMaxRetainBufs || a.retained > arenaMaxRetainElems) {
 		last := a.free[len(a.free)-1]
@@ -54,14 +43,12 @@ func putArena(a *arena) {
 		a.free = a.free[:len(a.free)-1]
 	}
 	a.postings = a.postings[:0]
-	a.lists = a.lists[:0]
-	a.children = a.children[:0]
 	arenaPool.Put(a)
 }
 
 // get returns a zero-length buffer with capacity >= hint, preferring the
 // smallest free buffer that fits. The caller owns the buffer until it
-// either puts it back or hands ownership up the plan tree.
+// either puts it back or returns it as its result.
 func (a *arena) get(hint int) []uint32 {
 	best := -1
 	for i, b := range a.free {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-// engineCodecs are the families exercised by the engine tests: a
+// engineCodecs are the families exercised by the plan tests: a
 // Roaring-style bitmap, an RLE bitmap, a SIMD-layout list, and PEF
 // (partition-native, no block frame) — the mix covers the native-AND,
 // span, skip-probe, and iterator paths.
@@ -50,43 +50,85 @@ func randomExpr(r *rand.Rand, nPostings, depth int) Expr {
 	return Expr{Op: op, Args: args}
 }
 
-// TestEngineMatchesSerialEval: randomized plans over mixed codec
-// families must produce results identical to the serial reference, for
-// a serial engine, the default engine, and an engine with parallelism
-// forced on every interior node. Run with -race this also exercises the
-// worker-pool fan-out for data races.
-func TestEngineMatchesSerialEval(t *testing.T) {
-	engines := map[string]*Engine{
-		"serial":         NewEngine(EngineConfig{Parallelism: 1}),
-		"default":        NewEngine(EngineConfig{}),
-		"forcedParallel": NewEngine(EngineConfig{Parallelism: 8, ParallelMinWork: 1}),
+// naiveEval is the plan reference: every leaf decompressed, every node
+// folded pairwise with the plain-list merges.
+func naiveEval(e Expr, ps []core.Posting) []uint32 {
+	if e.Op == OpLeaf {
+		return ps[e.Leaf].Decompress()
 	}
+	cur := naiveEval(e.Args[0], ps)
+	for _, a := range e.Args[1:] {
+		if e.Op == OpAnd {
+			cur = IntersectSorted(cur, naiveEval(a, ps))
+		} else {
+			cur = UnionSorted(cur, naiveEval(a, ps))
+		}
+	}
+	return cur
+}
+
+// TestEvalMatchesNaive: randomized nested plans over mixed codec
+// families evaluate to exactly the naive reference — the native
+// compressed-form operators, SvS probing and the mixed-node path of
+// Eval against decompress-and-merge.
+func TestEvalMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < 100; iter++ {
 		ps := randomPostings(t, r, 2+r.Intn(6), 400)
 		plan := randomExpr(r, len(ps), 3)
-		want, err := Eval(plan, ps)
+		got, err := Eval(plan, ps)
 		if err != nil {
-			t.Fatalf("iter %d: serial: %v", iter, err)
+			t.Fatalf("iter %d: %v", iter, err)
 		}
-		for name, ev := range engines {
-			got, err := ev.Eval(plan, ps)
-			if err != nil {
-				t.Fatalf("iter %d: %s: %v", iter, name, err)
-			}
-			if !equalU32(normalizeQ(got), normalizeQ(want)) {
-				t.Fatalf("iter %d: %s diverged from serial\nplan: %+v\ngot  %v\nwant %v",
-					iter, name, plan, got, want)
-			}
+		if want := naiveEval(plan, ps); !equalU32(normalizeQ(got), normalizeQ(want)) {
+			t.Fatalf("iter %d: Eval diverged from naive\nplan: %+v\ngot  %v\nwant %v",
+				iter, plan, got, want)
 		}
 	}
 }
 
-// TestEngineMatchesSerialEvalParallelRace exercises concurrent Eval
-// calls on one shared engine (the production shape: one engine, many
-// request goroutines) with parallelism forced.
-func TestEngineMatchesSerialEvalParallelRace(t *testing.T) {
-	ev := NewEngine(EngineConfig{Parallelism: 4, ParallelMinWork: 1})
+// orAll is the flat OR plan over every posting, the shape Engine.Union
+// answers.
+func orAll(n int) Expr {
+	leaves := make([]Expr, n)
+	for i := range leaves {
+		leaves[i] = Leaf(i)
+	}
+	return Or(leaves...)
+}
+
+// TestEngineMatchesSerialEval: the remaining Engine, whose Union the
+// benchmark times as ops.union_engine_us, answers exactly what the
+// serial Eval of the flat OR plan and the naive reference answer, over
+// random postings from mixed codec families.
+func TestEngineMatchesSerialEval(t *testing.T) {
+	ev := Default()
+	r := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 60; iter++ {
+		ps := randomPostings(t, r, 2+r.Intn(6), 400)
+		plan := orAll(len(ps))
+		want, err := Eval(plan, ps)
+		if err != nil {
+			t.Fatalf("iter %d: serial: %v", iter, err)
+		}
+		if naive := naiveEval(plan, ps); !equalU32(normalizeQ(want), normalizeQ(naive)) {
+			t.Fatalf("iter %d: serial Eval diverged from naive\ngot  %v\nwant %v", iter, want, naive)
+		}
+		got, err := ev.Union(ps)
+		if err != nil {
+			t.Fatalf("iter %d: engine: %v", iter, err)
+		}
+		if !equalU32(normalizeQ(got), normalizeQ(want)) {
+			t.Fatalf("iter %d: engine diverged from serial\ngot  %v\nwant %v", iter, got, want)
+		}
+	}
+}
+
+// TestOpsConcurrentPooled: many goroutines share the arena pool through
+// Intersect, Union and Eval (the serving shape: one process, many
+// request goroutines). Run with -race it checks that no pooled buffer
+// is shared across calls.
+func TestOpsConcurrentPooled(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ps := randomPostings(t, r, 8, 600)
 	type cse struct {
@@ -96,23 +138,33 @@ func TestEngineMatchesSerialEvalParallelRace(t *testing.T) {
 	cases := make([]cse, 16)
 	for i := range cases {
 		plan := randomExpr(r, len(ps), 3)
-		want, err := Eval(plan, ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[i] = cse{plan, want}
+		cases[i] = cse{plan, naiveEval(plan, ps)}
 	}
+	wantAnd := naiveEval(And(Leaf(0), Leaf(1), Leaf(2)), ps)
+	wantOr := naiveEval(Or(Leaf(3), Leaf(4), Leaf(5)), ps)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for iter := 0; iter < 20; iter++ {
 				c := cases[(g+iter)%len(cases)]
-				got, err := ev.Eval(c.plan, ps)
+				got, err := Eval(c.plan, ps)
 				if err != nil {
 					done <- err
 					return
 				}
-				if !equalU32(normalizeQ(got), normalizeQ(c.want)) {
+				and, err := Intersect(ps[0:3])
+				if err != nil {
+					done <- err
+					return
+				}
+				or, err := Union(ps[3:6])
+				if err != nil {
+					done <- err
+					return
+				}
+				if !equalU32(normalizeQ(got), normalizeQ(c.want)) ||
+					!equalU32(normalizeQ(and), normalizeQ(wantAnd)) ||
+					!equalU32(normalizeQ(or), normalizeQ(wantOr)) {
 					t.Errorf("goroutine %d iter %d: wrong result", g, iter)
 				}
 			}
@@ -122,38 +174,6 @@ func TestEngineMatchesSerialEvalParallelRace(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestEngineIntersectUnionMatchOps: the engine's flat-intersection and
-// flat-union wrappers agree with the package-level operators.
-func TestEngineIntersectUnionMatchOps(t *testing.T) {
-	ev := NewEngine(EngineConfig{})
-	r := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 30; iter++ {
-		ps := randomPostings(t, r, 2+r.Intn(4), 500)
-		wantAnd, err := Intersect(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotAnd, err := ev.Intersect(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalU32(normalizeQ(gotAnd), normalizeQ(wantAnd)) {
-			t.Fatalf("iter %d: Intersect diverged", iter)
-		}
-		wantOr, err := Union(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOr, err := ev.Union(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalU32(normalizeQ(gotOr), normalizeQ(wantOr)) {
-			t.Fatalf("iter %d: Union diverged", iter)
 		}
 	}
 }
@@ -231,9 +251,9 @@ func TestArenaRetentionBounds(t *testing.T) {
 	}
 }
 
-// TestEngineEmptyAndErrorPlans covers degenerate shapes.
+// TestEngineEmptyAndErrorPlans covers degenerate plan shapes through
+// Eval: an empty operand inside an AND, and that AND nested in an OR.
 func TestEngineEmptyAndErrorPlans(t *testing.T) {
-	ev := NewEngine(EngineConfig{})
 	c, err := codecs.ByName("Roaring")
 	if err != nil {
 		t.Fatal(err)
@@ -248,14 +268,14 @@ func TestEngineEmptyAndErrorPlans(t *testing.T) {
 	}
 	ps := []core.Posting{full, empty}
 
-	got, err := ev.Eval(And(Leaf(0), Leaf(1), Leaf(0)), ps)
+	got, err := Eval(And(Leaf(0), Leaf(1), Leaf(0)), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("AND with empty operand: got %v", got)
 	}
-	got, err = ev.Eval(Or(And(Leaf(0), Leaf(1)), Leaf(0)), ps)
+	got, err = Eval(Or(And(Leaf(0), Leaf(1)), Leaf(0)), ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ package ops
 // highly skewed pairs but loses to the linear merge when sizes are
 // comparable (the probes are branchy and cache-hostile).
 
-// gallopRatio is the size ratio at which the engine switches from
+// gallopRatio is the size ratio at which intersection switches from
 // linear merge to galloping. The crossover solves
 // |small|·log2|large| < |small|+|large|: with list lengths up to ~2^24
 // the log factor is ≤ 24, so any ratio comfortably above that pays;

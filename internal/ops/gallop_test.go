@@ -96,11 +96,10 @@ func TestIntersectAdaptiveSkewProperty(t *testing.T) {
 }
 
 // TestGallopingSvSMatchesIntersect: end to end through compressed
-// postings — the engine's galloping SvS must stay bit-identical to the
-// ops.Intersect reference across skew ratios up to 1:10^4.
+// postings — Intersect's SvS probing must stay bit-identical to the
+// plain-list reference across skew ratios up to 1:10^4.
 func TestGallopingSvSMatchesIntersect(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	eng := NewEngine(EngineConfig{})
 	for _, ratio := range skewRatios {
 		for _, names := range [][2]string{
 			{"SIMDBP128*", "SIMDBP128*"},
@@ -128,14 +127,6 @@ func TestGallopingSvSMatchesIntersect(t *testing.T) {
 			}
 			if !equalU32(normalizeQ(ref), want) {
 				t.Fatalf("ratio 1:%d %v: ops.Intersect diverged: got %v want %v", ratio, names, ref, want)
-			}
-			got, err := eng.Eval(Expr{Op: OpAnd, Args: []Expr{Leaf(0), Leaf(1)}}, ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalU32(normalizeQ(got), want) {
-				t.Fatalf("ratio 1:%d %v: engine diverged from reference\ngot  %v\nwant %v",
-					ratio, names, got, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -216,27 +217,26 @@ func dedupU32(a []uint32) []uint32 {
 	return out
 }
 
-// TestEngineUsesMixedKernel pins the wiring: a dense Roaring × sparse
-// blocked-list AND through the engine returns the reference result (the
-// mixed kernel path, since the pair shares no native Intersecter).
-func TestEngineUsesMixedKernel(t *testing.T) {
+// TestIntersectUsesMixedKernel pins the wiring: a dense Roaring × sparse
+// blocked-list AND through Intersect returns the reference result, in
+// both operand orders. The pair shares no native Intersecter, so the
+// mixed kernel is the path taken.
+func TestIntersectUsesMixedKernel(t *testing.T) {
 	dense := boundaryDense()
 	sparse := boundarySparse()
 	want := IntersectSorted(dense, sparse)
-	ps := []core.Posting{
-		compressAs(t, "Roaring", dense),
-		compressAs(t, "SIMDBP128*", sparse),
+	bp := compressAs(t, "Roaring", dense)
+	lp := compressAs(t, "SIMDBP128*", sparse)
+	if _, err := bp.(core.Intersecter).IntersectWith(lp); !errors.Is(err, core.ErrIncompatible) {
+		t.Fatalf("Roaring×SIMDBP128* native AND: err %v, want ErrIncompatible", err)
 	}
-	for name, eng := range map[string]*Engine{
-		"default": NewEngine(EngineConfig{}),
-		"serial":  NewEngine(EngineConfig{Parallelism: 1}),
-	} {
-		got, err := eng.Eval(Expr{Op: OpAnd, Args: []Expr{Leaf(0), Leaf(1)}}, ps)
+	for _, ps := range [][]core.Posting{{bp, lp}, {lp, bp}} {
+		got, err := Intersect(ps)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
 		if !equalU32(normalizeQ(got), normalizeQ(want)) {
-			t.Fatalf("%s: got %v want %v", name, got, want)
+			t.Fatalf("got %v want %v", got, want)
 		}
 	}
 }

@@ -74,10 +74,10 @@ func Intersect(postings []core.Posting) ([]uint32, error) {
 	case 1:
 		return postings[0].Decompress(), nil
 	}
-	// The heavy lifting shares the engine's pooled arena: the operand
-	// sort and the initial decompression of the smallest operand reuse
-	// pooled scratch instead of allocating per call (the probe loop
-	// itself lives in intersectInto / probeAnd, shared with Engine).
+	// The heavy lifting runs on a pooled arena: the operand sort and
+	// the initial decompression of the smallest operand reuse pooled
+	// scratch instead of allocating per call (the probe loop itself
+	// lives in intersectInto / probeAnd).
 	// The result is copied out so callers own an exact-size slice and
 	// the scratch can return to the pool.
 	a := getArena()
@@ -91,6 +91,86 @@ func Intersect(postings []core.Posting) ([]uint32, error) {
 	a.put(cur)
 	putArena(a)
 	return out, nil
+}
+
+// intersectInto is Intersect with arena-backed scratch: the operand
+// sort uses the arena's posting stack and the initial decompression of
+// the smallest operand lands in a pooled buffer instead of the heap.
+// The returned slice is arena-owned (or a freshly allocated native-op
+// result, which the caller may adopt with put).
+func intersectInto(a *arena, postings []core.Posting) ([]uint32, error) {
+	switch len(postings) {
+	case 0:
+		return nil, nil
+	case 1:
+		return core.DecompressAppend(postings[0], a.get(postings[0].Len())), nil
+	}
+	base := len(a.postings)
+	a.postings = append(a.postings, postings...)
+	sorted := a.postings[base:]
+	sortPostingsByLen(sorted)
+	defer func() { a.postings = a.postings[:base] }()
+
+	var cur []uint32
+	haveCur := false
+	rest := sorted[1:]
+	// Native compressed-form AND for the first same-codec pair.
+	if inter, ok := sorted[0].(core.Intersecter); ok {
+		r, err := inter.IntersectWith(sorted[1])
+		switch {
+		case err == nil:
+			cur = r
+			haveCur = true
+			rest = sorted[2:]
+		case errors.Is(err, core.ErrIncompatible):
+			// Mixed operands: the bucket×seeker kernel below, or the
+			// generic path.
+		default:
+			return nil, err
+		}
+	}
+	if !haveCur {
+		// Mixed-representation fast path: a bucketed bitmap against a
+		// skip-pointered list intersects with neither side decompressed.
+		if r, ok := mixedIntersect(a, sorted[0], sorted[1]); ok {
+			cur = r
+			haveCur = true
+			rest = sorted[2:]
+		}
+	}
+	if !haveCur {
+		cur = core.DecompressAppend(sorted[0], a.get(sorted[0].Len()))
+	}
+	for _, p := range rest {
+		if len(cur) == 0 {
+			return cur, nil
+		}
+		cur = probeAnd(a, cur, p)
+	}
+	return cur, nil
+}
+
+// probeAnd intersects the running uncompressed result with one
+// compressed operand: skip/merge probes for Seekers (in place on cur),
+// the native bitmap-vs-list operator for ListProbers (adopting the
+// fresh result and recycling cur), and arena-buffered
+// decompress-and-merge otherwise.
+func probeAnd(a *arena, cur []uint32, p core.Posting) []uint32 {
+	if s, ok := p.(core.Seeker); ok {
+		if p.Len() < mergeRatio*len(cur) {
+			return mergeProbe(cur, s.Iterator())
+		}
+		return skipProbe(cur, s.Iterator())
+	}
+	if lp, ok := p.(core.ListProber); ok {
+		out := lp.IntersectList(cur)
+		a.put(cur)
+		return out
+	}
+	tmp := core.DecompressAppend(p, a.get(p.Len()))
+	cur = intersectAdaptiveInPlace(cur, tmp)
+	a.put(tmp)
+	return cur
 }
 
 // skipProbe keeps the elements of cur present in it, probing via SeekGEQ.
@@ -133,6 +213,40 @@ func mergeProbe(cur []uint32, it core.Iterator) []uint32 {
 		}
 	}
 	return out
+}
+
+// intersectSortedInPlace intersects cur with b, writing the result into
+// cur's prefix — the same aliasing contract as skipProbe/mergeProbe:
+// the write index never passes the read index, so cur's backing array
+// doubles as the output and the input slice must be considered consumed.
+func intersectSortedInPlace(cur, b []uint32) []uint32 {
+	out := cur[:0]
+	i, j := 0, 0
+	for i < len(cur) && j < len(b) {
+		switch {
+		case cur[i] < b[j]:
+			i++
+		case cur[i] > b[j]:
+			j++
+		default:
+			out = append(out, cur[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// sortPostingsByLen orders Intersect's operands shortest first. It runs
+// on every call; this insertion sort is stable like sort.SliceStable
+// but closure-free, so steady-state intersection does not allocate for
+// ordering.
+func sortPostingsByLen(ps []core.Posting) {
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].Len() < ps[j-1].Len(); j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
 }
 
 // Union computes the union of k compressed postings. Same-codec bitmap
@@ -263,3 +377,15 @@ func siftDown(h []heapHead, i int) {
 		i = small
 	}
 }
+
+// Engine is a stateless stand-in with a single caller: traceBoolean in
+// benchmark/serve.go, which times Default().Union as
+// ops.union_engine_us. It goes when that metric does. Nothing in cmd/
+// or internal/ calls it outside its tests; use Union.
+type Engine struct{}
+
+// Default returns an Engine.
+func Default() *Engine { return &Engine{} }
+
+// Union returns Union(postings).
+func (*Engine) Union(postings []core.Posting) ([]uint32, error) { return Union(postings) }

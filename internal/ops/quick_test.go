@@ -92,8 +92,8 @@ func normalizeQ(a []uint32) []uint32 {
 	return a
 }
 
-// planInput generates a random plan over a random mixed-codec posting
-// set, seeding the engine-vs-serial property below.
+// planInput seeds a random mixed-codec posting set for the
+// engine-vs-serial property below.
 type planInput struct {
 	Seed int64
 }
@@ -103,22 +103,19 @@ func (planInput) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(planInput{Seed: r.Int63()})
 }
 
-// TestQuickEngineMatchesSerial: for random Expr trees over mixed codec
-// families, the pooled parallel engine and the serial reference are
-// extensionally equal. Parallelism is forced (ParallelMinWork=1) so the
-// fan-out path is the one under test; with -race this doubles as the
-// data-race check on the worker pool.
+// TestQuickEngineMatchesSerial: for random posting sets over mixed
+// codec families, Engine.Union and the serial Union are extensionally
+// equal.
 func TestQuickEngineMatchesSerial(t *testing.T) {
-	ev := NewEngine(EngineConfig{Parallelism: 4, ParallelMinWork: 1})
+	ev := Default()
 	prop := func(in planInput) bool {
 		r := rand.New(rand.NewSource(in.Seed))
 		ps := randomPostings(t, r, 2+r.Intn(5), 300)
-		plan := randomExpr(r, len(ps), 3)
-		want, err := Eval(plan, ps)
+		want, err := Union(ps)
 		if err != nil {
 			return false
 		}
-		got, err := ev.Eval(plan, ps)
+		got, err := ev.Union(ps)
 		if err != nil {
 			return false
 		}

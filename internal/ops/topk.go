@@ -227,7 +227,7 @@ func MergeRanked(lists [][]ScoredDoc, k int) []ScoredDoc {
 // only in how much work they skip. Empty lists are ignored; fewer than
 // k results are returned when the union is smaller than k. stats, when
 // non-nil, is filled with the evaluation's work counters.
-func (ev *Engine) TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDoc {
+func TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDoc {
 	if stats != nil {
 		*stats = TopKStats{Mode: mode.String()}
 	}

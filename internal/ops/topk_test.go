@@ -123,10 +123,9 @@ var topkModes = []TopKMode{TopKExhaustive, TopKMaxScore, TopKBlockMax}
 func checkAllModes(t *testing.T, k int, lists []*memImpactList) {
 	t.Helper()
 	want := bruteTopK(k, lists)
-	ev := NewEngine(EngineConfig{Parallelism: 1})
 	for _, mode := range topkModes {
 		var stats TopKStats
-		got := ev.TopK(mode, k, asImpactLists(lists), &stats)
+		got := TopK(mode, k, asImpactLists(lists), &stats)
 		if len(got) == 0 {
 			got = nil
 		}
@@ -147,11 +146,10 @@ func TestTopKModesHandCases(t *testing.T) {
 	// Single list, k larger than the list.
 	checkAllModes(t, 50, []*memImpactList{a})
 	// Empty input.
-	ev := Default()
-	if got := ev.TopK(TopKBlockMax, 3, nil, nil); got != nil {
+	if got := TopK(TopKBlockMax, 3, nil, nil); got != nil {
 		t.Fatalf("empty lists: got %v", got)
 	}
-	if got := ev.TopK(TopKMaxScore, 0, asImpactLists([]*memImpactList{a}), nil); got != nil {
+	if got := TopK(TopKMaxScore, 0, asImpactLists([]*memImpactList{a}), nil); got != nil {
 		t.Fatalf("k=0: got %v", got)
 	}
 }
@@ -193,7 +191,7 @@ func TestTopKModesRandomized(t *testing.T) {
 func TestTopKStatsCounters(t *testing.T) {
 	a := newMemImpactList([]uint32{1, 2, 3, 4, 5}, []uint32{1, 1, 1, 1, 1}, 2)
 	var stats TopKStats
-	Default().TopK(TopKExhaustive, 2, asImpactLists([]*memImpactList{a}), &stats)
+	TopK(TopKExhaustive, 2, asImpactLists([]*memImpactList{a}), &stats)
 	if stats.Lists != 1 || stats.Postings != 5 || stats.BlocksTotal != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}

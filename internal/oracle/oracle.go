@@ -8,8 +8,6 @@
 //   - generated decode kernels (Unpack, VUnpack, VUnpackDelta,
 //     VUnpackBase) vs the generic accumulator references (UnpackRef,
 //     VUnpackRef) across every bit width 0..32;
-//   - the pooled/parallel ops.Engine vs the serial ops.Eval on random
-//     plans over postings compressed with every codec in the registry;
 //   - the BVIX3 mmap read path vs the in-memory index it was written
 //     from, and the BVIX2 stream roundtrip, on and/or/top-k queries;
 //   - degraded-mode open (OpenFileDegraded) of a tail-corrupted file
@@ -18,9 +16,9 @@
 //   - the adaptive hybrid index (per-term codec selection) vs a
 //     mono-codec index over the same corpus, in memory and through a
 //     BVIX3 reopen, on and/or/top-k queries;
-//   - the engine's mixed bitmap×list and galloping SvS intersection
-//     kernels vs the reference ops.Intersect and the plain sorted-slice
-//     merge, across skews up to 10^4:1;
+//   - ops.Intersect's mixed bitmap×list and galloping SvS intersection
+//     kernels vs the plain sorted-slice merge, across skews up to
+//     10^4:1;
 //   - the pruned ranked-retrieval algorithms (MaxScore, Block-Max-WAND)
 //     vs exhaustive evaluation, in memory and through a BVIX3 v4
 //     (impact-annotated) write and reopen — result lists must be
@@ -63,9 +61,6 @@ import (
 func Run(seed int64, dir string) error {
 	if err := CheckKernels(seed); err != nil {
 		return fmt.Errorf("kernels: %w", err)
-	}
-	if err := CheckEngine(seed); err != nil {
-		return fmt.Errorf("engine: %w", err)
 	}
 	if err := CheckIndexFile(seed, dir); err != nil {
 		return fmt.Errorf("index file: %w", err)
@@ -183,97 +178,6 @@ func diffU32(a, b []uint32) int {
 		}
 	}
 	return -1
-}
-
-// randomSet draws a strictly increasing non-empty uint32 set within a
-// random universe — dense, sparse, and clustered shapes all occur.
-func randomSet(rng *rand.Rand) []uint32 {
-	universe := 64 << rng.Intn(8) // 64 .. 8192
-	density := 1 + rng.Intn(99)   // percent * 100 of universe, roughly
-	var out []uint32
-	for v := 0; v < universe; v++ {
-		if rng.Intn(100) < density {
-			out = append(out, uint32(v))
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, uint32(rng.Intn(universe)))
-	}
-	return out
-}
-
-// randomPlan builds a random Expr over n leaves: each leaf used once,
-// grouped under random AND/OR nodes up to depth 2.
-func randomPlan(rng *rand.Rand, n int) ops.Expr {
-	leaves := make([]ops.Expr, n)
-	for i := range leaves {
-		leaves[i] = ops.Leaf(i)
-	}
-	rng.Shuffle(n, func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
-	var groups []ops.Expr
-	for len(leaves) > 0 {
-		take := 1 + rng.Intn(3)
-		if take > len(leaves) {
-			take = len(leaves)
-		}
-		g := leaves[:take]
-		leaves = leaves[take:]
-		switch {
-		case len(g) == 1:
-			groups = append(groups, g[0])
-		case rng.Intn(2) == 0:
-			groups = append(groups, ops.And(g...))
-		default:
-			groups = append(groups, ops.Or(g...))
-		}
-	}
-	if len(groups) == 1 {
-		return groups[0]
-	}
-	if rng.Intn(2) == 0 {
-		return ops.And(groups...)
-	}
-	return ops.Or(groups...)
-}
-
-// CheckEngine compares the pooled/parallel Engine against the serial
-// reference Eval on random plans, rotating every registered codec
-// (including extensions) through the leaf postings.
-func CheckEngine(seed int64) error {
-	rng := rand.New(rand.NewSource(seed + 1))
-	all := append(codecs.All(), codecs.Extensions()...)
-	// Parallelism forced on and the fan-out threshold floored so even
-	// tiny plans exercise the concurrent path.
-	eng := ops.NewEngine(ops.EngineConfig{Parallelism: 4, ParallelMinWork: 1})
-	for round := 0; round < 4; round++ {
-		n := 2 + rng.Intn(5)
-		postings := make([]core.Posting, n)
-		names := make([]string, n)
-		for i := range postings {
-			c := all[rng.Intn(len(all))]
-			p, err := c.Compress(randomSet(rng))
-			if err != nil {
-				return fmt.Errorf("%s.Compress: %w", c.Name(), err)
-			}
-			postings[i], names[i] = p, c.Name()
-		}
-		plan := randomPlan(rng, n)
-		want, werr := ops.Eval(plan, postings)
-		got, gerr := eng.Eval(plan, postings)
-		if (werr == nil) != (gerr == nil) {
-			return fmt.Errorf("round %d: serial err=%v, engine err=%v (codecs %v)", round, werr, gerr, names)
-		}
-		if werr != nil {
-			continue
-		}
-		if len(got) != len(want) {
-			return fmt.Errorf("round %d: engine returned %d docs, serial %d (codecs %v)", round, len(got), len(want), names)
-		}
-		if i := diffU32(got, want); i >= 0 {
-			return fmt.Errorf("round %d: engine[%d]=%d != serial[%d]=%d (codecs %v)", round, i, got[i], i, want[i], names)
-		}
-	}
-	return nil
 }
 
 // oracleCorpus builds a small randomized index plus query terms; the
@@ -502,14 +406,12 @@ func mustCodec(name string) core.Codec {
 	return c
 }
 
-// CheckMixedIntersect drives the engine's mixed bitmap×list kernel and
-// galloping SvS against two references — ops.Intersect over the same
-// postings and the plain sorted-slice merge — on skewed pairs up to
-// 10^4:1, with the bitmap side rotating Roaring/Roaring+Run and the
-// list side rotating the blocked SIMD codecs.
+// CheckMixedIntersect drives ops.Intersect's mixed bitmap×list kernel
+// and galloping SvS against the plain sorted-slice merge on skewed
+// pairs up to 10^4:1, with the bitmap side rotating Roaring/Roaring+Run
+// and the list side rotating the blocked SIMD codecs.
 func CheckMixedIntersect(seed int64) error {
 	rng := rand.New(rand.NewSource(seed + 5))
-	eng := ops.NewEngine(ops.EngineConfig{})
 	bitmaps := []string{"Roaring", "Roaring+Run"}
 	lists := []string{"SIMDBP128*", "SIMDPforDelta*", "VB"}
 	ratios := []int{1, 40, 1000, 10000}
@@ -565,14 +467,6 @@ func CheckMixedIntersect(seed int64) error {
 			if len(ref) != len(want) || diffU32(ref, want) >= 0 {
 				return fmt.Errorf("ratio %d %s×%s: ops.Intersect %d docs, slice merge %d",
 					ratio, bmCodec.Name(), listCodec.Name(), len(ref), len(want))
-			}
-			got, err := eng.Eval(ops.And(ops.Leaf(0), ops.Leaf(1)), pair[:])
-			if err != nil {
-				return fmt.Errorf("ratio %d: engine: %w", ratio, err)
-			}
-			if len(got) != len(want) || diffU32(got, want) >= 0 {
-				return fmt.Errorf("ratio %d %s×%s: engine %d docs != reference %d",
-					ratio, bmCodec.Name(), listCodec.Name(), len(got), len(want))
 			}
 		}
 	}
