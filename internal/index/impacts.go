@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"repro/internal/codecs"
 	"repro/internal/core"
@@ -357,11 +356,11 @@ type termImpactList struct {
 	vals []uint32
 }
 
-func (l *termImpactList) Len() int               { return len(l.meta.quant) }
-func (l *termImpactList) TermMax() uint32        { return uint32(l.meta.termMax) }
-func (l *termImpactList) NumBlocks() int         { return len(l.meta.blockLast) }
-func (l *termImpactList) BlockLast(i int) uint32 { return l.meta.blockLast[i] }
-func (l *termImpactList) BlockMax(i int) uint32  { return uint32(l.meta.blockMax[i]) }
+func (l *termImpactList) Len() int        { return len(l.meta.quant) }
+func (l *termImpactList) TermMax() uint32 { return uint32(l.meta.termMax) }
+func (l *termImpactList) Blocks() ([]uint32, []uint8) {
+	return l.meta.blockLast, l.meta.blockMax
+}
 
 func (l *termImpactList) Cursor() ops.ImpactCursor {
 	if l.bd != nil {
@@ -387,15 +386,14 @@ func (c *arrayImpactCursor) Next() (uint32, bool) {
 }
 
 func (c *arrayImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
-	if c.pos >= 0 && c.pos < len(c.l.vals) && c.l.vals[c.pos] >= target {
-		return c.l.vals[c.pos], true
-	}
-	lo := max(c.pos, 0)
-	c.pos = lo + sort.Search(len(c.l.vals)-lo, func(i int) bool { return c.l.vals[lo+i] >= target })
-	if c.pos >= len(c.l.vals) {
+	vals := c.l.vals
+	// Galloping from the current position: a seek costs the log of the
+	// distance it moves, not of what is left of the list.
+	c.pos = ops.GallopGEQ(vals, max(c.pos, 0), target)
+	if c.pos >= len(vals) {
 		return 0, false
 	}
-	return c.l.vals[c.pos], true
+	return vals[c.pos], true
 }
 
 func (c *arrayImpactCursor) Impact() uint32     { return uint32(c.l.meta.quant[c.pos]) }
@@ -408,7 +406,7 @@ type blockImpactCursor struct {
 	l       *termImpactList
 	buf     [impactBlockLen]uint32
 	cur     []uint32
-	block   int // decoded block index; -1 before start, NumBlocks() when exhausted
+	block   int // decoded block index; -1 before start, the block count when exhausted
 	pos     int
 	decoded int
 }
@@ -425,8 +423,8 @@ func (c *blockImpactCursor) Next() (uint32, bool) {
 		return c.cur[c.pos], true
 	}
 	nb := c.block + 1
-	if nb >= c.l.NumBlocks() {
-		c.block, c.cur = c.l.NumBlocks(), nil
+	if n := len(c.l.meta.blockLast); nb >= n {
+		c.block, c.cur = n, nil
 		return 0, false
 	}
 	c.load(nb)
@@ -435,7 +433,8 @@ func (c *blockImpactCursor) Next() (uint32, bool) {
 }
 
 func (c *blockImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
-	n := c.l.NumBlocks()
+	last := c.l.meta.blockLast
+	n := len(last)
 	if c.block >= 0 && c.cur != nil && c.pos < len(c.cur) && c.cur[c.pos] >= target {
 		return c.cur[c.pos], true
 	}
@@ -443,8 +442,7 @@ func (c *blockImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
 	if start >= n {
 		return 0, false
 	}
-	last := c.l.meta.blockLast
-	b := start + sort.Search(n-start, func(i int) bool { return last[start+i] >= target })
+	b := ops.GallopGEQ(last, start, target)
 	if b >= n {
 		c.block, c.cur = n, nil
 		return 0, false
@@ -455,7 +453,7 @@ func (c *blockImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
 	} else {
 		c.load(b)
 	}
-	i := lo + sort.Search(len(c.cur)-lo, func(i int) bool { return c.cur[lo+i] >= target })
+	i := ops.GallopGEQ(c.cur, lo, target)
 	if i >= len(c.cur) {
 		// Defensive: only reachable if the block-last metadata disagrees
 		// with the decoded values; the next block's first value is then

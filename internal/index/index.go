@@ -424,12 +424,14 @@ type Result = ops.ScoredDoc
 // TopK ranks the documents matching at least one query term by summed
 // quantized impact, descending (ascending docid on ties), and returns
 // the best k. It runs the engine's pruned document-at-a-time evaluation:
-// Block-Max-WAND when every term carries stored impact annotations over
-// a block-frame posting (a BVIX3 v4 index), so only posting blocks that
-// can beat the heap threshold are ever decompressed; exhaustive
-// evaluation otherwise, with impacts derived from the frequency payload
-// (or pure document counting when no frequencies exist). Terms absent
-// from the index simply contribute nothing.
+// Block-Max-WAND when every term carries stored impact annotations (a
+// BVIX3 v4 index); exhaustive evaluation otherwise, with impacts derived
+// from the frequency payload (or pure document counting when no
+// frequencies exist). Only a list-coded term's posting is decoded block
+// by block, so that blocks which cannot beat the heap threshold stay
+// compressed; a bitmap-coded term has no block frame and is decoded
+// whole (from the decoded cache when attached). Terms absent from the
+// index simply contribute nothing.
 func (idx *Index) TopK(k int, terms ...string) ([]Result, error) {
 	return idx.TopKWith("auto", k, nil, terms...)
 }

@@ -17,12 +17,13 @@ package ops
 // DESIGN §8).
 const gallopRatio = 32
 
-// gallopGEQ returns the smallest index k >= lo with a[k] >= target
+// GallopGEQ returns the smallest index k >= lo with a[k] >= target
 // (len(a) when none), probing exponentially from lo and then binary
 // searching the bracketed window. Resuming from the previous match's
 // position makes a full intersection adaptive: sequential locality
-// costs O(1) per step, wide jumps cost the log of the jump only.
-func gallopGEQ(a []uint32, lo int, target uint32) int {
+// costs O(1) per step, wide jumps cost the log of the jump only. The
+// top-k impact cursors seek with it for the same reason.
+func GallopGEQ(a []uint32, lo int, target uint32) int {
 	n := len(a)
 	if lo >= n || a[lo] >= target {
 		return lo
@@ -65,7 +66,7 @@ func gallopFilter(cur, b []uint32) []uint32 {
 	out := cur[:0]
 	j := 0
 	for _, v := range cur {
-		j = gallopGEQ(b, j, v)
+		j = GallopGEQ(b, j, v)
 		if j == len(b) {
 			break
 		}
@@ -85,7 +86,7 @@ func gallopFilterRev(cur, b []uint32) []uint32 {
 	out := cur[:0]
 	i := 0
 	for _, v := range b {
-		i = gallopGEQ(cur, i, v)
+		i = GallopGEQ(cur, i, v)
 		if i == len(cur) {
 			break
 		}

@@ -28,10 +28,10 @@ func TestGallopGEQ(t *testing.T) {
 		case 2:
 			target = 1<<32 - 1 // past the end
 		}
-		got := gallopGEQ(a, lo, target)
+		got := GallopGEQ(a, lo, target)
 		want := lo + sort.Search(len(a)-lo, func(i int) bool { return a[lo+i] >= target })
 		if got != want {
-			t.Fatalf("gallopGEQ(len=%d, lo=%d, target=%d) = %d, want %d", len(a), lo, target, got, want)
+			t.Fatalf("GallopGEQ(len=%d, lo=%d, target=%d) = %d, want %d", len(a), lo, target, got, want)
 		}
 	}
 }

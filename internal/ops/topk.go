@@ -67,13 +67,11 @@ type ImpactList interface {
 	// TermMax reports the maximum quantized impact over the whole list
 	// (the term's score upper bound).
 	TermMax() uint32
-	// NumBlocks reports the number of impact blocks.
-	NumBlocks() int
-	// BlockLast returns the last (largest) docid of block i; strictly
-	// increasing in i.
-	BlockLast(i int) uint32
-	// BlockMax returns the maximum quantized impact within block i.
-	BlockMax(i int) uint32
+	// Blocks returns the block frame: last[i] is the last (largest)
+	// docid of block i, strictly increasing in i, and max[i] the maximum
+	// quantized impact within block i. Both have one entry per block;
+	// the scorers read them and never write.
+	Blocks() (last []uint32, max []uint8)
 	// Cursor returns a fresh forward cursor positioned before the first
 	// posting.
 	Cursor() ImpactCursor
@@ -246,7 +244,8 @@ func TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDo
 		if stats != nil {
 			stats.Lists++
 			stats.Postings += il.Len()
-			stats.BlocksTotal += il.NumBlocks()
+			last, _ := il.Blocks()
+			stats.BlocksTotal += len(last)
 		}
 	}
 	h := &topkHeap{k: k}
@@ -255,7 +254,7 @@ func TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDo
 	case TopKMaxScore:
 		scored = topkMaxScore(live, cursors, h)
 	case TopKBlockMax:
-		scored = topkBlockMax(live, cursors, h)
+		scored = topkBMW(live, cursors, h)
 	default:
 		scored = topkExhaustive(cursors, h)
 	}
@@ -407,27 +406,42 @@ func topkMaxScore(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 	}
 }
 
-// topkBlockMax implements Block-Max-WAND. The WAND pivot — the first
+// topkBMW implements Block-Max-WAND. The WAND pivot — the first
 // docid at which enough term maxima stack up to beat the threshold —
 // is re-checked against per-block maxima: when even the pivot blocks'
 // summed maxima cannot beat the threshold, every cursor at or before
 // the pivot skips past the shallowest block boundary (min over the
 // pivot blocks' last docids) without decoding a single value.
-func topkBlockMax(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
+//
+// Each list's blk is the first block whose last docid is >= the latest
+// pivot the list took part in, and it only moves forward. That finds
+// the block a search from block 0 would find because the pivot strictly
+// increases between iterations: after a skip every list at or before
+// the pivot sits at or past the skip target, which lies beyond the
+// pivot, and after an evaluation every list that was at the pivot has
+// moved past it — so every current doc, the next pivot among them,
+// exceeds the old pivot. The loop panics if that ever fails, which only
+// a bug can cause. Over a query each block pointer crosses each block
+// at most once.
+func topkBMW(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 	type state struct {
-		il  ImpactList
-		c   ImpactCursor
-		max int64
-		doc uint32
+		c    ImpactCursor
+		last []uint32 // block last docids
+		bmax []uint8  // block maxima
+		blk  int      // first block with last[blk] >= the latest pivot
+		max  int64
+		doc  uint32
 	}
 	st := make([]*state, 0, len(lists))
 	for i, il := range lists {
 		c := cursors[i]
 		if d, ok := c.Next(); ok {
-			st = append(st, &state{il: il, c: c, max: int64(il.TermMax()), doc: d})
+			last, bmax := il.Blocks()
+			st = append(st, &state{c: c, last: last, bmax: bmax, max: int64(il.TermMax()), doc: d})
 		}
 	}
 	scored := 0
+	prev := int64(-1) // the previous iteration's pivot
 	for len(st) > 0 {
 		// Keep lists ordered by current doc (insertion sort: the order
 		// is nearly stable between iterations and n is query-sized).
@@ -455,15 +469,19 @@ func topkBlockMax(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 		for p+1 < len(st) && st[p+1].doc == pivot {
 			p++
 		}
+		if int64(pivot) <= prev {
+			panic("ops: Block-Max-WAND pivot did not advance")
+		}
+		prev = int64(pivot)
 		// Shallow check: per-block maxima of the blocks that would
 		// contain the pivot.
 		var blockUB int64
-		for i := 0; i <= p; i++ {
-			il := st[i].il
-			nb := il.NumBlocks()
-			b := sort.Search(nb, func(b int) bool { return il.BlockLast(b) >= pivot })
-			if b < nb {
-				blockUB += int64(il.BlockMax(b))
+		for _, s := range st[:p+1] {
+			for s.blk < len(s.last) && s.last[s.blk] < pivot {
+				s.blk++
+			}
+			if s.blk < len(s.last) {
+				blockUB += int64(s.bmax[s.blk])
 			}
 		}
 		if thr >= 0 && blockUB <= thr {
@@ -471,12 +489,9 @@ func topkBlockMax(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 			// shallowest block boundary (or to the next list's doc,
 			// whichever is nearer) without decoding.
 			next := uint64(1) << 33 // past any docid
-			for i := 0; i <= p; i++ {
-				il := st[i].il
-				nb := il.NumBlocks()
-				b := sort.Search(nb, func(b int) bool { return il.BlockLast(b) >= pivot })
-				if b < nb {
-					if bound := uint64(il.BlockLast(b)) + 1; bound < next {
+			for _, s := range st[:p+1] {
+				if s.blk < len(s.last) {
+					if bound := uint64(s.last[s.blk]) + 1; bound < next {
 						next = bound
 					}
 				}
@@ -486,16 +501,20 @@ func topkBlockMax(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 					next = bound
 				}
 			}
-			target := uint32(next)
 			if next >= uint64(1)<<32 {
-				target = ^uint32(0)
+				// No list follows the pivot and every pivot block ends at
+				// docid 2^32-1 (a list with no block left holds nothing at
+				// or past the pivot), so no remaining document can win.
+				// Seeking to 2^32-1 instead would leave a list already
+				// sitting there where it is, and the loop would spin.
+				break
 			}
-			for i := 0; i <= p; i++ {
-				if st[i].doc >= target {
-					continue
-				}
-				if v, ok := st[i].c.SeekGEQ(target); ok {
-					st[i].doc = v
+			// Every list up to p sits at or before the pivot, so below
+			// target.
+			target := uint32(next)
+			for i, s := range st[:p+1] {
+				if v, ok := s.c.SeekGEQ(target); ok {
+					s.doc = v
 				} else {
 					st[i] = nil
 				}

@@ -1,22 +1,35 @@
 package ops
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 )
 
 // memImpactList is a reference ImpactList over in-memory (doc, impact)
-// pairs, cut into blocks of blockLen.
+// pairs, cut into blocks of blockLen, with its block frame precomputed.
 type memImpactList struct {
-	docs     []uint32
-	imps     []uint32
-	blockLen int
+	docs []uint32
+	imps []uint32
+	last []uint32
+	max  []uint8
 }
 
 func newMemImpactList(docs, imps []uint32, blockLen int) *memImpactList {
-	return &memImpactList{docs: docs, imps: imps, blockLen: blockLen}
+	m := &memImpactList{docs: docs, imps: imps}
+	for i, d := range docs {
+		if i%blockLen == 0 {
+			m.last, m.max = append(m.last, 0), append(m.max, 0)
+		}
+		b := i / blockLen
+		m.last[b] = d
+		m.max[b] = max(m.max[b], uint8(imps[i]))
+	}
+	return m
 }
 
 func (m *memImpactList) Len() int { return len(m.docs) }
@@ -31,31 +44,7 @@ func (m *memImpactList) TermMax() uint32 {
 	return mx
 }
 
-func (m *memImpactList) NumBlocks() int {
-	return (len(m.docs) + m.blockLen - 1) / m.blockLen
-}
-
-func (m *memImpactList) BlockLast(i int) uint32 {
-	end := (i+1)*m.blockLen - 1
-	if end >= len(m.docs) {
-		end = len(m.docs) - 1
-	}
-	return m.docs[end]
-}
-
-func (m *memImpactList) BlockMax(i int) uint32 {
-	lo, hi := i*m.blockLen, (i+1)*m.blockLen
-	if hi > len(m.imps) {
-		hi = len(m.imps)
-	}
-	var mx uint32
-	for _, v := range m.imps[lo:hi] {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
+func (m *memImpactList) Blocks() ([]uint32, []uint8) { return m.last, m.max }
 
 func (m *memImpactList) Cursor() ImpactCursor { return &memImpactCursor{l: m, pos: -1} }
 
@@ -186,6 +175,138 @@ func TestTopKModesRandomized(t *testing.T) {
 		checkAllModes(t, k, lists)
 	}
 }
+
+// c300List builds a list shaped like the benchmark's C300 postings:
+// about n docids drawn uniformly from [0, domain), cut into blockLen
+// blocks, with impacts 1–10 skewed toward 1 (each step up has odds
+// 1/3), so most postings score low while block maxima still vary from
+// block to block.
+func c300List(rng *rand.Rand, n, domain, blockLen int) *memImpactList {
+	var docs, imps []uint32
+	for d := 0; d < domain; d++ {
+		if rng.Intn(domain) >= n {
+			continue
+		}
+		imp := uint32(1)
+		for imp < 10 && rng.Intn(3) == 0 {
+			imp++
+		}
+		docs, imps = append(docs, uint32(d)), append(imps, imp)
+	}
+	return newMemImpactList(docs, imps, blockLen)
+}
+
+// TestTopKModesLongLists cross-checks the three algorithms against the
+// brute-force scorer on C300-shaped lists of 5k–50k docs over a 200k
+// domain in 128-posting blocks: hundreds of blocks per list, so BMW's
+// block pointers cross many blocks and its skips jump far. Every BMW
+// pivot here also passes topkBMW's check that the pivot strictly
+// increases, the invariant its forward-only block pointers rest on.
+func TestTopKModesLongLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(300))
+	scored := map[TopKMode]int{}
+	for trial := 0; trial < 16; trial++ {
+		lists := make([]*memImpactList, 1+rng.Intn(4))
+		for i := range lists {
+			lists[i] = c300List(rng, 5000+rng.Intn(45001), 200000, 128)
+		}
+		k := []int{1, 10, 100, 1000}[trial%4]
+		want := bruteTopK(k, lists)
+		for _, mode := range topkModes {
+			var stats TopKStats
+			got := TopK(mode, k, asImpactLists(lists), &stats)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: k=%d got %v want %v", trial, mode, k, got, want)
+			}
+			scored[mode] += stats.DocsScored
+		}
+	}
+	if scored[TopKBlockMax] >= scored[TopKExhaustive] {
+		t.Fatalf("bmw scored %d docs, exhaustive %d: no skipping", scored[TopKBlockMax], scored[TopKExhaustive])
+	}
+	t.Logf("docs scored: %v", scored)
+}
+
+// TestTopKSkipToLastDocid: when BMW skips a block that ends at docid
+// 2^32-1, the skip bound is 2^32 and no docid reaches it; a list
+// already sitting on 2^32-1 must be dropped as exhausted, not left in
+// place to be picked as the pivot again forever. Every mode runs with a
+// deadline.
+func TestTopKSkipToLastDocid(t *testing.T) {
+	a := newMemImpactList([]uint32{1, math.MaxUint32}, []uint32{9, 1}, 1)
+	b := newMemImpactList([]uint32{2}, []uint32{3}, 1)
+	want := []ScoredDoc{{Doc: 1, Score: 9}, {Doc: 2, Score: 3}}
+	for _, mode := range topkModes {
+		done := make(chan []ScoredDoc, 1)
+		go func() { done <- TopK(mode, 2, asImpactLists([]*memImpactList{a, b}), nil) }()
+		select {
+		case got := <-done:
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: got %v want %v", mode, got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no answer after 2 s", mode)
+		}
+	}
+}
+
+// stuckList hands out cursors whose SeekGEQ never moves: a broken
+// cursor that stalls BMW's pivot.
+type stuckList struct{ *memImpactList }
+
+func (l stuckList) Cursor() ImpactCursor {
+	return stuckCursor{&memImpactCursor{l: l.memImpactList, pos: -1}}
+}
+
+type stuckCursor struct{ *memImpactCursor }
+
+func (c stuckCursor) SeekGEQ(uint32) (uint32, bool) { return c.l.docs[c.pos], true }
+
+// TestTopKBlockMaxPivotMustAdvance: the forward-only block pointers are
+// right only while the pivot strictly increases, so topkBMW checks
+// that on every iteration. With cursors that ignore seeks, the second
+// pivot's blocks cannot win, the skip moves nothing and the same pivot
+// comes back: BMW must panic there rather than loop or answer.
+func TestTopKBlockMaxPivotMustAdvance(t *testing.T) {
+	a := newMemImpactList([]uint32{1, 2, 3}, []uint32{5, 1, 1}, 1)
+	b := newMemImpactList([]uint32{2, 3}, []uint32{1, 1}, 1)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		TopK(TopKBlockMax, 1, []ImpactList{stuckList{a}, stuckList{b}}, nil)
+	}()
+	select {
+	case r := <-done:
+		if r == nil {
+			t.Fatal("BMW answered although its pivot stalled")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("BMW loops on a stalled pivot")
+	}
+}
+
+// BenchmarkTopK times the three scorers over 1, 2 and 3 C300-shaped
+// lists of 50k, 20k and 5k docs (k = 10). Run with -benchmem for
+// allocs/op.
+func BenchmarkTopK(b *testing.B) {
+	rng := rand.New(rand.NewSource(300))
+	var lists []ImpactList
+	for _, n := range []int{50000, 20000, 5000} {
+		lists = append(lists, c300List(rng, n, 200000, 128))
+	}
+	for n := 1; n <= len(lists); n++ {
+		for _, mode := range topkModes {
+			b.Run(fmt.Sprintf("%s/lists=%d", mode, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkRanked = TopK(mode, 10, lists[:n], nil)
+				}
+			})
+		}
+	}
+}
+
+var sinkRanked []ScoredDoc
 
 // TestTopKStatsCounters sanity-checks the work accounting.
 func TestTopKStatsCounters(t *testing.T) {
