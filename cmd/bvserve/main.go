@@ -22,8 +22,10 @@
 // /delete {"doc": N} become available (acked only after the WAL
 // fsync, so acked writes survive kill -9), /reload force-seals the
 // mutable segment, and /stats reports per-segment depth and WAL
-// gauges. -seal-docs, -fsync-window, -compact-segments, and
-// -ingest-queue tune it.
+// gauges. The WAL group-commits with no window to tune: a lone write
+// is synced at once, and writes that arrive during an fsync share the
+// next one. -seal-docs, -compact-segments, and -ingest-queue tune the
+// live mode; -fsync-window is still accepted but ignored.
 //
 // SIGHUP also triggers a hot reload (a seal in live mode);
 // SIGINT/SIGTERM drain gracefully.
@@ -70,7 +72,7 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 
 		liveDir     = fs.String("live", "", "live-ingestion mode: WAL-backed mutable index directory (POST /ingest, /delete)")
 		sealDocs    = fs.Int("seal-docs", 50000, "live mode: auto-seal the mutable segment at this many documents (0 disables)")
-		fsyncWindow = fs.Duration("fsync-window", 0, "live mode: WAL group-commit window; 0 fsyncs every append")
+		fsyncWindow = fs.Duration("fsync-window", 0, "Deprecated: ignored; every log group-commits")
 		compactSegs = fs.Int("compact-segments", 4, "live mode: compact when this many sealed segments accumulate (0 disables)")
 		ingestQueue = fs.Int("ingest-queue", 128, "live mode: admitted write requests before shedding with 429")
 
@@ -100,6 +102,9 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 		return err
 	}
 
+	if *fsyncWindow != 0 {
+		logger.Printf("bvserve: -fsync-window=%s is deprecated and ignored: every WAL append group-commits with whatever is queued behind the fsync in flight", *fsyncWindow)
+	}
 	if *liveDir != "" {
 		return runLive(ctx, logger, *liveDir, *addr, server.Config{
 			ReadTimeout:    *readTimeout,
@@ -115,7 +120,6 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 			CacheBytes:     -1, // live postings are re-cut by seals; no decoded cache
 			Logger:         logger,
 		}, index.LiveOptions{
-			SyncEvery:       *fsyncWindow,
 			SealDocs:        *sealDocs,
 			CompactSegments: *compactSegs,
 		})
@@ -246,9 +250,6 @@ func validateFlags(fs *flag.FlagSet) error {
 		}
 		if v := get("compact-segments").(int); v < 0 {
 			return fmt.Errorf("-compact-segments=%d: want 0 (disabled) or a positive segment count", v)
-		}
-		if d := get("fsync-window").(time.Duration); d < 0 {
-			return fmt.Errorf("-fsync-window=%s: want 0 (fsync every append) or a positive window", d)
 		}
 		if v := get("ingest-queue").(int); v <= 0 {
 			return fmt.Errorf("-ingest-queue=%d: admission depth must be positive", v)

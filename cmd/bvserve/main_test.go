@@ -236,7 +236,6 @@ func TestValidateLiveFlags(t *testing.T) {
 		{[]string{"-live", "d", "-index", "x.idx"}, "-live"},
 		{[]string{"-live", "d", "-seal-docs", "-1"}, "-seal-docs"},
 		{[]string{"-live", "d", "-compact-segments", "-2"}, "-compact-segments"},
-		{[]string{"-live", "d", "-fsync-window", "-1ms"}, "-fsync-window"},
 		{[]string{"-live", "d", "-ingest-queue", "0"}, "-ingest-queue"},
 	}
 	for _, c := range cases {

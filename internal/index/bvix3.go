@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -125,73 +126,100 @@ func (idx *Index) writeBVIX3(w io.Writer, withImpacts bool) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var dict, frames, payload, impacts []byte
-	if withImpacts {
-		// The impacts section opens with the per-term record offset
-		// table; record offsets are known only after encoding, so the
-		// table is filled in as records land.
-		impacts = make([]byte, 8*len(names))
-	}
+	bw := bvix3Writer{withImpacts: withImpacts}
 	for i, name := range names {
-		if i%bvix3FrameLen == 0 {
-			frames = binary.LittleEndian.AppendUint64(frames, uint64(len(dict)))
-		}
-		e := entries[i]
-		blob, err := e.posting.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			return 0, fmt.Errorf("index: term %q: %w", name, err)
-		}
-		for len(payload)%bvix3RecAlign != 0 {
-			payload = append(payload, 0)
-		}
-		payOff := uint64(len(payload))
-		payload = append(payload, blob...)
-		for _, f := range e.freqs {
-			payload = binary.LittleEndian.AppendUint16(payload, f)
-		}
-		dict = binary.LittleEndian.AppendUint16(dict, uint16(len(name)))
-		dict = append(dict, name...)
-		dict = binary.LittleEndian.AppendUint32(dict, uint32(len(e.freqs)))
-		dict = binary.LittleEndian.AppendUint64(dict, payOff)
-		dict = binary.LittleEndian.AppendUint32(dict, uint32(len(blob)))
-		dict = binary.LittleEndian.AppendUint32(dict, crc32.Checksum(payload[payOff:], castagnoli))
-		dict = append(dict, codecByteFor(e, blob))
-		if withImpacts {
-			binary.LittleEndian.PutUint64(impacts[8*i:], uint64(len(impacts)))
-			meta := buildImpactMeta(e.posting.Decompress(), e.freqs)
-			impacts = appendImpactsRecord(impacts, meta, e.codec)
+		if err := bw.add(name, entries[i]); err != nil {
+			return 0, err
 		}
 	}
+	return bw.writeTo(w, idx.Docs())
+}
 
-	version := byte(bvix3Version)
-	secs := []struct {
-		off uint64
-		b   []byte
-	}{{0, dict}, {0, frames}, {0, payload}}
-	if withImpacts {
-		version = bvix3VersionImpacts
-		secs = append(secs, struct {
-			off uint64
-			b   []byte
-		}{0, impacts})
+// bvix3Writer is the one BVIX3 encoder. Terms arrive one at a time in
+// strictly increasing name order and are encoded straight into the
+// section buffers; writeTo then emits the header and the sections.
+// WriteBVIX3 feeds it an index's entries, and compaction feeds it each
+// merged term as soon as the term is merged, so a compaction never
+// holds more than one term's postings beside the encoded output.
+type bvix3Writer struct {
+	withImpacts bool
+	terms       int
+	dict        []byte
+	frames      []byte
+	payload     []byte
+	// impactOffs holds each term's impact record offset relative to the
+	// first record; writeTo rebases them past the offset table, whose
+	// size is known only once the last term has arrived.
+	impactOffs []uint64
+	impacts    []byte
+}
+
+// add encodes one term.
+func (bw *bvix3Writer) add(name string, e termEntry) error {
+	if bw.terms%bvix3FrameLen == 0 {
+		bw.frames = binary.LittleEndian.AppendUint64(bw.frames, uint64(len(bw.dict)))
 	}
+	blob, err := e.posting.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("index: term %q: %w", name, err)
+	}
+	for len(bw.payload)%bvix3RecAlign != 0 {
+		bw.payload = append(bw.payload, 0)
+	}
+	payOff := uint64(len(bw.payload))
+	bw.payload = append(bw.payload, blob...)
+	for _, f := range e.freqs {
+		bw.payload = binary.LittleEndian.AppendUint16(bw.payload, f)
+	}
+	bw.dict = binary.LittleEndian.AppendUint16(bw.dict, uint16(len(name)))
+	bw.dict = append(bw.dict, name...)
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, uint32(len(e.freqs)))
+	bw.dict = binary.LittleEndian.AppendUint64(bw.dict, payOff)
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, uint32(len(blob)))
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, crc32.Checksum(bw.payload[payOff:], castagnoli))
+	bw.dict = append(bw.dict, codecByteFor(e, blob))
+	if bw.withImpacts {
+		// Records are 8-aligned and the offset table is 8 bytes a term,
+		// so rebasing past the table keeps every record's alignment.
+		bw.impactOffs = append(bw.impactOffs, uint64(len(bw.impacts)))
+		meta := buildImpactMeta(e.posting.Decompress(), e.freqs)
+		bw.impacts = appendImpactsRecord(bw.impacts, meta, e.codec)
+	}
+	bw.terms++
+	return nil
+}
+
+// writeTo emits the header and every section for an index over docs
+// documents, one Write per header, padding run, and section.
+func (bw *bvix3Writer) writeTo(w io.Writer, docs int) (int64, error) {
+	version := byte(bvix3Version)
+	secs := [][]byte{bw.dict, bw.frames, bw.payload}
+	if bw.withImpacts {
+		version = bvix3VersionImpacts
+		table := make([]byte, 0, 8*bw.terms+len(bw.impacts))
+		for _, off := range bw.impactOffs {
+			table = binary.LittleEndian.AppendUint64(table, uint64(8*bw.terms)+off)
+		}
+		secs = append(secs, append(table, bw.impacts...))
+	}
+	offs := make([]uint64, len(secs))
 	off := uint64(bvix3DataStart)
-	for i := range secs {
-		secs[i].off = off
-		off = align(off+uint64(len(secs[i].b)), bvix3Align)
+	for i, sec := range secs {
+		offs[i] = off
+		off = align(off+uint64(len(sec)), bvix3Align)
 	}
 
 	hdr := make([]byte, 0, bvix3HeaderSizeFor(len(secs)))
 	hdr = append(hdr, bvix3Magic...)
 	hdr = append(hdr, version, 0, 0)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(idx.Docs()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(names)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(docs))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(bw.terms))
 	hdr = binary.LittleEndian.AppendUint32(hdr, bvix3FrameLen)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(secs)))
-	for _, sec := range secs {
-		hdr = binary.LittleEndian.AppendUint64(hdr, sec.off)
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(sec.b)))
-		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(sec.b, castagnoli))
+	for i, sec := range secs {
+		hdr = binary.LittleEndian.AppendUint64(hdr, offs[i])
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(sec)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(sec, castagnoli))
 	}
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr[len(bvix3Magic):], castagnoli))
 
@@ -201,20 +229,16 @@ func (idx *Index) writeBVIX3(w io.Writer, withImpacts bool) (int64, error) {
 		n += int64(k)
 		return err
 	}
-	pad := func(upto uint64) error {
-		if uint64(n) < upto {
-			return emit(make([]byte, upto-uint64(n)))
-		}
-		return nil
-	}
 	if err := emit(hdr); err != nil {
 		return n, err
 	}
-	for _, sec := range secs {
-		if err := pad(sec.off); err != nil {
-			return n, err
+	for i, sec := range secs {
+		if uint64(n) < offs[i] {
+			if err := emit(make([]byte, offs[i]-uint64(n))); err != nil {
+				return n, err
+			}
 		}
-		if err := emit(sec.b); err != nil {
+		if err := emit(sec); err != nil {
 			return n, err
 		}
 	}
@@ -740,7 +764,7 @@ func (lz *lazyIndex) allEntries() ([]string, []termEntry, error) {
 	lz.mu.RLock()
 	defer lz.mu.RUnlock()
 	if lz.closed {
-		return nil, nil, fmt.Errorf("index: use of closed index")
+		return nil, nil, errIndexClosed
 	}
 	names := make([]string, 0, lz.termCount)
 	entries := make([]termEntry, 0, lz.termCount)
@@ -762,6 +786,74 @@ func (lz *lazyIndex) allEntries() ([]string, []termEntry, error) {
 		entries = append(entries, e)
 	}
 	return names, entries, nil
+}
+
+// dictCursor walks a mapped index's dict in name order one record at a
+// time — the streaming merge's view of one input. Quarantined names
+// are skipped, as allEntries skips them. Every step reads the borrowed
+// bytes under the lazy index's read lock; between steps the cursor
+// holds only the current record, whose name it has copied out.
+type dictCursor struct {
+	lz   *lazyIndex
+	next int // dict offset of the record after the current one
+	left int // records not yet parsed
+	rec  dictRecord
+	name string // current term; meaningless once done
+	done bool
+}
+
+var errIndexClosed = errors.New("index: use of closed index")
+
+// newDictCursor positions a cursor on idx's first servable term. idx
+// must be a mapped BVIX3 index — what every sealed segment is.
+func newDictCursor(idx *Index) (*dictCursor, error) {
+	if idx.lazy == nil {
+		return nil, errors.New("index: not a mapped BVIX3 index")
+	}
+	c := &dictCursor{lz: idx.lazy, left: idx.lazy.termCount}
+	return c, c.advance()
+}
+
+// advance moves to the next servable record, or sets done.
+func (c *dictCursor) advance() error {
+	lz := c.lz
+	lz.mu.RLock()
+	defer lz.mu.RUnlock()
+	if lz.closed {
+		return errIndexClosed
+	}
+	for ; c.left > 0; c.left-- {
+		rec, err := parseDictRecord(lz.geo.dict, c.next)
+		if err != nil {
+			return err
+		}
+		c.next = rec.next
+		if _, bad := lz.quarantined[string(rec.name)]; bad {
+			continue
+		}
+		c.rec, c.name = rec, string(rec.name)
+		c.left--
+		return nil
+	}
+	c.done = true
+	return nil
+}
+
+// take materializes the current term's postings and frequencies into
+// heap memory (impact annotations are not read), then advances.
+func (c *dictCursor) take() (termEntry, error) {
+	lz := c.lz
+	lz.mu.RLock()
+	if lz.closed {
+		lz.mu.RUnlock()
+		return termEntry{}, errIndexClosed
+	}
+	e, err := lz.geo.materialize(c.rec)
+	lz.mu.RUnlock()
+	if err != nil {
+		return termEntry{}, err
+	}
+	return e, c.advance()
 }
 
 func (lz *lazyIndex) close() error {

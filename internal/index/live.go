@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -78,9 +79,6 @@ type LiveOptions struct {
 	// means faultio.OS. (Sealed segments are still mmapped through the
 	// real OS — fault injection targets the write path.)
 	FS faultio.FS
-	// SyncEvery is the WAL group-commit window; zero fsyncs every
-	// append individually.
-	SyncEvery time.Duration
 	// SealDocs, when positive, auto-seals the mutable segment once it
 	// holds that many documents. Zero means seal only on demand.
 	SealDocs int
@@ -216,7 +214,7 @@ func OpenLive(dir string, opts LiveOptions) (*Live, error) {
 			l.applyRecord(rec)
 		}
 	}
-	log, recs, err := wal.Open(filepath.Join(dir, walName(last)), wal.Options{FS: l.fsys, SyncEvery: opts.SyncEvery})
+	log, recs, err := wal.Open(filepath.Join(dir, walName(last)), wal.Options{FS: l.fsys})
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +454,7 @@ func (l *Live) Seal() error {
 		return err
 	}
 	newSeq := l.walSeq + 1
-	nl, _, err := wal.Open(filepath.Join(l.dir, walName(newSeq)), wal.Options{FS: l.fsys, SyncEvery: l.opts.SyncEvery})
+	nl, _, err := wal.Open(filepath.Join(l.dir, walName(newSeq)), wal.Options{FS: l.fsys})
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -603,8 +601,10 @@ func (l *Live) Compact() error {
 		}
 	}
 
-	// Heavy phase, off-lock against the acquired snapshots.
-	idx, ranges, err := mergeSealed(inputs, tombsSnap, l.opts.Codec)
+	// Heavy phase, off-lock against the acquired snapshots: merged terms
+	// stream straight into the output's section buffers.
+	var bw bvix3Writer
+	ranges, err := mergeSealed(inputs, tombsSnap, l.opts.Codec, bw.add)
 	release()
 	if err != nil {
 		return fmt.Errorf("index: compact: %w", err)
@@ -614,7 +614,8 @@ func (l *Live) Compact() error {
 	if ranges.total() > 0 {
 		file := segName(mySegSeq)
 		path := filepath.Join(l.dir, file)
-		if err := idx.writeFileFS(l.fsys, path, FormatBVIX3); err != nil {
+		write := func(w io.Writer) (int64, error) { return bw.writeTo(w, ranges.total()) }
+		if err := publishFile(l.fsys, path, write); err != nil {
 			return fmt.Errorf("index: compact: %w", err)
 		}
 		opened, err := OpenFile(path)
@@ -719,19 +720,29 @@ func (l *Live) Export() (*Index, error) {
 	if len(inputs) == 0 {
 		return nil, errors.New("index: export: live index holds no documents")
 	}
-	idx, ranges, err := mergeSealed(inputs, tombs, l.opts.Codec)
+	terms := map[string]termEntry{}
+	ranges, err := mergeSealed(inputs, tombs, l.opts.Codec, func(t string, e termEntry) error {
+		terms[t] = e
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("index: export: %w", err)
 	}
 	if ranges.total() == 0 {
 		return nil, errors.New("index: export: every document is deleted; nothing to export")
 	}
-	return idx, nil
+	return &Index{codec: l.opts.Codec, terms: terms, docs: ranges.total()}, nil
 }
 
-// mergeSealed merges the inputs' postings into a single eager index
-// over the surviving documents, dropping every copy a tombstone masks.
-func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec) (*Index, idRanges, error) {
+// mergeSealed merges the inputs' postings over the surviving documents,
+// dropping every copy a tombstone masks, and hands each merged term to
+// emit in name order. It streams: a k-way walk over the inputs' mapped
+// dicts materializes one term from each input that has it, masks,
+// merges, and compresses it, and lets it go before the next term — so
+// the merge holds one term's postings at a time, never an input's
+// whole vocabulary. Compaction emits into a bvix3Writer, Export into a
+// map; the returned ranges map merged local ids back to global ones.
+func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec, emit func(string, termEntry) error) (idRanges, error) {
 	masked := func(doc uint32, epoch int) bool {
 		b, ok := tombs[doc]
 		return ok && b >= epoch
@@ -749,65 +760,54 @@ func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec) (*
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
 	ranges := rangesFromIDs(survivors)
 	if len(survivors) == 0 {
-		return nil, ranges, nil
+		return ranges, nil
 	}
 
-	// Per-input term tables.
-	type table struct {
-		seg     *sealedSeg
-		names   []string
-		entries []termEntry
-	}
-	tables := make([]table, len(inputs))
-	vocab := map[string]struct{}{}
+	curs := make([]*dictCursor, len(inputs))
 	for i, s := range inputs {
-		names, entries, err := s.snap.Index().sortedEntries()
+		c, err := newDictCursor(s.snap.Index())
 		if err != nil {
-			return nil, idRanges{}, fmt.Errorf("segment %s: %w", s.file, err)
+			return idRanges{}, fmt.Errorf("segment %s: %w", s.file, err)
 		}
-		tables[i] = table{seg: s, names: names, entries: entries}
-		for _, n := range names {
-			vocab[n] = struct{}{}
-		}
+		curs[i] = c
 	}
-	terms := make([]string, 0, len(vocab))
-	for t := range vocab {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
 	sel := AutoSelector()
-	merged := make(map[string]termEntry, len(terms))
-	// Per-table cursor: names are sorted, terms are iterated sorted, so
-	// each table advances monotonically.
-	cursors := make([]int, len(tables))
 	type postings struct {
 		docs  []uint32
 		freqs []uint16
 	}
-	for _, t := range terms {
-		var parts []postings
-		for ti := range tables {
-			tb := &tables[ti]
-			for cursors[ti] < len(tb.names) && tb.names[cursors[ti]] < t {
-				cursors[ti]++
+	for {
+		// The next term is the least name any cursor is on.
+		t, found := "", false
+		for _, c := range curs {
+			if !c.done && (!found || c.name < t) {
+				t, found = c.name, true
 			}
-			if cursors[ti] >= len(tb.names) || tb.names[cursors[ti]] != t {
+		}
+		if !found {
+			return ranges, nil
+		}
+		var parts []postings
+		for i, c := range curs {
+			if c.done || c.name != t {
 				continue
 			}
-			e := tb.entries[cursors[ti]]
-			locals := e.posting.Decompress()
-			globals := tb.seg.ranges.globals(locals)
-			var docs []uint32
-			var freqs []uint16
-			for i, g := range globals {
-				if masked(g, tb.seg.epoch) {
+			seg := inputs[i]
+			e, err := c.take()
+			if err != nil {
+				return idRanges{}, fmt.Errorf("segment %s: %w", seg.file, err)
+			}
+			globals := seg.ranges.globals(e.posting.Decompress())
+			docs := make([]uint32, 0, len(globals))
+			freqs := make([]uint16, 0, len(globals))
+			for k, g := range globals {
+				if masked(g, seg.epoch) {
 					continue
 				}
 				docs = append(docs, g)
 				var f uint16 = 1
-				if i < len(e.freqs) {
-					f = e.freqs[i]
+				if k < len(e.freqs) {
+					f = e.freqs[k]
 				}
 				freqs = append(freqs, f)
 			}
@@ -821,8 +821,12 @@ func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec) (*
 		// K-way merge by global id. After masking, a document survives in
 		// at most one input (re-added copies mask their elders), so the
 		// streams never collide on a docid.
-		var docs []uint32
-		var freqs []uint16
+		n := 0
+		for _, p := range parts {
+			n += len(p.docs)
+		}
+		docs := make([]uint32, 0, n)
+		freqs := make([]uint16, 0, n)
 		idxs := make([]int, len(parts))
 		for {
 			best := -1
@@ -840,7 +844,7 @@ func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec) (*
 			g := parts[best].docs[idxs[best]]
 			local, ok := ranges.toLocal(g)
 			if !ok {
-				return nil, idRanges{}, fmt.Errorf("merged docid %d outside survivor set", g)
+				return idRanges{}, fmt.Errorf("merged docid %d outside survivor set", g)
 			}
 			docs = append(docs, local)
 			freqs = append(freqs, parts[best].freqs[idxs[best]])
@@ -852,12 +856,12 @@ func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec) (*
 		}
 		p, err := c.Compress(docs)
 		if err != nil {
-			return nil, idRanges{}, fmt.Errorf("term %q: %w", t, err)
+			return idRanges{}, fmt.Errorf("term %q: %w", t, err)
 		}
-		merged[t] = termEntry{posting: p, freqs: freqs, codec: c.Name()}
+		if err := emit(t, termEntry{posting: p, freqs: freqs, codec: c.Name()}); err != nil {
+			return idRanges{}, err
+		}
 	}
-	out := &Index{codec: codec, terms: merged, docs: len(survivors)}
-	return out, ranges, nil
 }
 
 // maskGlobals filters tombstoned docs out of an ascending global-id

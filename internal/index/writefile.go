@@ -58,14 +58,21 @@ func (idx *Index) WriteFile(path string, format Format) error {
 }
 
 // writeFileFS is WriteFile against an explicit file system — the seam
-// the fault-injection tests drive. The temp name is deterministic per
-// (path, pid): concurrent publishers of the same path from one process
-// must serialize, which every caller in this module already does.
-func (idx *Index) writeFileFS(fsys faultio.FS, path string, format Format) (err error) {
+// the fault-injection tests drive.
+func (idx *Index) writeFileFS(fsys faultio.FS, path string, format Format) error {
 	write, err := idx.writeFunc(format)
 	if err != nil {
 		return err
 	}
+	return publishFile(fsys, path, write)
+}
+
+// publishFile is the publish protocol itself for any serializer;
+// compaction publishes its streamed output through it without building
+// an Index. The temp name is deterministic per (path, pid): concurrent
+// publishers of the same path from one process must serialize, which
+// every caller in this module already does.
+func publishFile(fsys faultio.FS, path string, write func(io.Writer) (int64, error)) (err error) {
 	tmp := fmt.Sprintf("%s.tmp.%d", path, os.Getpid())
 	defer func() {
 		if err != nil {

@@ -138,11 +138,10 @@ type IngestChaosConfig struct {
 	Duration time.Duration // total run length
 	Rate     float64       // offered write+verify ops per second (default 100)
 	Seed     int64
-	// SealDocs/CompactSegments/FsyncWindow pass through to bvserve so
-	// seals and compactions actually happen during the storm.
-	SealDocs        int           // default 150
-	CompactSegments int           // default 3
-	FsyncWindow     time.Duration // default 2ms (group commit)
+	// SealDocs/CompactSegments pass through to bvserve so seals and
+	// compactions actually happen during the storm.
+	SealDocs        int // default 150
+	CompactSegments int // default 3
 	LogTo           io.Writer
 }
 
@@ -217,13 +216,9 @@ func RunIngestChaos(ctx context.Context, cfg IngestChaosConfig) (*IngestReport, 
 	if cfg.CompactSegments <= 0 {
 		cfg.CompactSegments = 3
 	}
-	if cfg.FsyncWindow <= 0 {
-		cfg.FsyncWindow = 2 * time.Millisecond
-	}
 	proc, err := NewLiveProc(cfg.Bin, cfg.Dir, []string{
 		"-seal-docs", fmt.Sprint(cfg.SealDocs),
 		"-compact-segments", fmt.Sprint(cfg.CompactSegments),
-		"-fsync-window", cfg.FsyncWindow.String(),
 	}, cfg.LogTo)
 	if err != nil {
 		return nil, err

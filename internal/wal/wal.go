@@ -14,13 +14,18 @@
 //
 // Durability contract. Append returns only after the fsync that covers
 // the record has completed — an acked record survives SIGKILL and power
-// loss. With SyncEvery == 0 every append syncs individually; with a
-// positive group-commit window, concurrent appenders share one fsync
-// per window (Enqueue/Commit.Wait splits the two phases so a caller can
+// loss. Commit is leader-based: the first appender to wait while no
+// fsync is in flight becomes the leader, notes the log's current end,
+// and syncs outside every lock; appenders that arrive meanwhile wait
+// for it and then share the next fsync, which covers everything queued
+// by the time it starts. A lone appender therefore syncs at once, and
+// any number of appenders arriving during one fsync share the next.
+// Enqueue and Commit.Wait split the two phases so a caller can
 // serialize record order under its own lock without serializing the
-// sync). A failed write or sync permanently brickes the log: every
-// subsequent operation returns the original error, because a log whose
-// tail state is unknown must not accept more records.
+// sync. A failed write or sync permanently bricks the log: every waiter
+// it covered and every subsequent operation returns the original error,
+// because a log whose tail state is unknown must not accept more
+// records.
 //
 // Replay contract. Replay scans records in order and stops at the first
 // frame that does not parse: short header, absurd length, length past
@@ -64,51 +69,43 @@ var ErrClosed = errors.New("wal: log closed")
 type Options struct {
 	// FS is the file-system seam; nil means faultio.OS.
 	FS faultio.FS
-	// SyncEvery is the group-commit window: appends that arrive within
-	// the same window share one fsync. Zero syncs every append
-	// individually (safest, slowest); the ack-after-fsync contract is
-	// identical either way.
+	// SyncEvery was the group-commit window.
+	//
+	// Deprecated: ignored; every log group-commits.
 	SyncEvery time.Duration
 }
 
 // Log is an open write-ahead log. Appends are safe for concurrent use.
 type Log struct {
 	path string
-	fsys faultio.FS
-	opts Options
 
 	mu      sync.Mutex
+	cond    *sync.Cond // on mu; broadcast when a leader's fsync returns
 	f       faultio.File
 	size    int64 // durable + buffered bytes written so far
 	synced  int64 // bytes covered by a completed fsync
+	syncing bool  // a leader's fsync is in flight
 	broken  error // first write/sync error; poisons the log
 	closed  bool
-	pending *Commit       // open group-commit batch, nil when none
-	wake    chan struct{} // signals the flusher that a batch is open
-	done    chan struct{} // closed when the flusher exits
 }
 
-// Commit is one group-commit batch handle. Wait blocks until the fsync
-// covering every record enqueued into the batch has completed (or
-// failed) and returns its error.
+// Commit is one enqueued record's handle: Wait blocks until an fsync
+// covering the record's end offset has completed (or the log broke)
+// and returns the error, if any.
 type Commit struct {
-	ch  chan struct{}
-	err error
+	l   *Log
+	end int64 // log offset just past the record
+	err error // resolved at Enqueue: closed, broken, or a failed write
 }
 
-// Wait blocks for the batch's fsync.
-func (c *Commit) Wait() error {
-	<-c.ch
-	return c.err
-}
-
-// resolvedCommit is reused for the SyncEvery==0 path where Enqueue
-// already synced.
-func resolvedCommit(err error) *Commit {
-	c := &Commit{ch: make(chan struct{})}
-	c.err = err
-	close(c.ch)
-	return c
+// Wait blocks until the record is durable.
+func (c Commit) Wait() error {
+	if c.err != nil {
+		return c.err
+	}
+	c.l.mu.Lock()
+	defer c.l.mu.Unlock()
+	return c.l.syncToLocked(c.end)
 }
 
 // Open replays the log at path, truncates any torn tail, and opens it
@@ -133,17 +130,8 @@ func Open(path string, opts Options) (*Log, [][]byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &Log{
-		path: path, fsys: opts.FS, opts: opts, f: f,
-		size: valid, synced: valid,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	if opts.SyncEvery > 0 {
-		go l.flusher()
-	} else {
-		close(l.done)
-	}
+	l := &Log{path: path, f: f, size: valid, synced: valid}
+	l.cond = sync.NewCond(&l.mu)
 	return l, recs, nil
 }
 
@@ -234,108 +222,77 @@ func (l *Log) Append(payload []byte) error {
 	return l.Enqueue(payload).Wait()
 }
 
-// Enqueue writes one record into the current group-commit batch and
-// returns the batch handle; the record is durable once Wait returns
-// nil. Callers that need record order to match an externally-locked
-// application order call Enqueue under their lock and Wait outside it.
-func (l *Log) Enqueue(payload []byte) *Commit {
-	l.mu.Lock()
-	if l.broken != nil {
-		l.mu.Unlock()
-		return resolvedCommit(l.broken)
-	}
-	if l.closed {
-		l.mu.Unlock()
-		return resolvedCommit(ErrClosed)
-	}
+// Enqueue writes one record and returns its commit handle; the record
+// is durable once Wait returns nil. Callers that need record order to
+// match an externally-locked application order call Enqueue under their
+// lock and Wait outside it.
+func (l *Log) Enqueue(payload []byte) Commit {
 	frame := make([]byte, headerSize+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 	copy(frame[headerSize:], payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.broken != nil {
+		return Commit{err: l.broken}
+	}
+	if l.closed {
+		return Commit{err: ErrClosed}
+	}
 	if _, err := l.f.Write(frame); err != nil {
 		l.broken = fmt.Errorf("wal: append %s: %w", l.path, err)
-		err := l.broken
-		l.mu.Unlock()
-		return resolvedCommit(err)
+		return Commit{err: l.broken}
 	}
 	l.size += int64(len(frame))
-	if l.opts.SyncEvery <= 0 {
-		err := l.syncLocked()
-		l.mu.Unlock()
-		return resolvedCommit(err)
-	}
-	if l.pending == nil {
-		l.pending = &Commit{ch: make(chan struct{})}
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	}
-	c := l.pending
-	l.mu.Unlock()
-	return c
+	return Commit{l: l, end: l.size}
 }
 
-// syncLocked fsyncs the file and advances the durable watermark; the
-// caller holds l.mu.
-func (l *Log) syncLocked() error {
-	if l.broken != nil {
-		return l.broken
+// syncToLocked returns once a completed fsync covers offset end, or
+// with the error that bricked the log first. The caller holds l.mu.
+// With no fsync in flight the caller becomes the leader: it notes the
+// current end of the log, syncs with l.mu released so appenders keep
+// writing, and wakes everyone waiting when the sync returns. Otherwise
+// it waits for the leader and checks again — a record written during
+// one sync is covered by the next.
+func (l *Log) syncToLocked(end int64) error {
+	for l.synced < end {
+		if l.broken != nil {
+			return l.broken
+		}
+		if l.syncing {
+			l.cond.Wait()
+			continue
+		}
+		target := l.size
+		l.syncing = true
+		l.mu.Unlock()
+		err := l.f.Sync()
+		l.mu.Lock()
+		l.syncing = false
+		if err != nil {
+			if l.broken == nil {
+				l.broken = fmt.Errorf("wal: sync %s: %w", l.path, err)
+			}
+		} else {
+			l.synced = target
+		}
+		l.cond.Broadcast()
 	}
-	if l.synced == l.size {
-		// Nothing unsynced — also what keeps a flusher that fires after
-		// Close already synced from touching the closed file.
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		l.broken = fmt.Errorf("wal: sync %s: %w", l.path, err)
-		return l.broken
-	}
-	l.synced = l.size
 	return nil
 }
 
-// flusher is the group-commit loop: each open batch is synced one
-// window after it opened, releasing every waiter at once.
-func (l *Log) flusher() {
-	defer close(l.done)
-	for range l.wake {
-		time.Sleep(l.opts.SyncEvery)
-		l.mu.Lock()
-		c := l.pending
-		l.pending = nil
-		if c == nil {
-			l.mu.Unlock()
-			continue
-		}
-		c.err = l.syncLocked()
-		l.mu.Unlock()
-		close(c.ch)
-	}
-	// Drain: resolve any batch left behind after Close stopped the loop.
-	l.mu.Lock()
-	if c := l.pending; c != nil {
-		l.pending = nil
-		c.err = ErrClosed
-		if l.broken != nil {
-			c.err = l.broken
-		}
-		l.mu.Unlock()
-		close(c.ch)
-		return
-	}
-	l.mu.Unlock()
-}
-
-// Sync forces an fsync outside any window — the seal path calls it
-// before rotating logs.
+// Sync returns once everything written so far is durable — the seal
+// path calls it before rotating logs.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.broken != nil {
+		return l.broken
+	}
 	if l.closed {
 		return ErrClosed
 	}
-	return l.syncLocked()
+	return l.syncToLocked(l.size)
 }
 
 // Size reports the log's byte length including any not-yet-synced tail.
@@ -356,28 +313,24 @@ func (l *Log) Pending() int64 {
 // Path reports the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Close syncs and closes the log. Safe to call once; the log is
-// unusable afterward.
+// Close waits for an in-flight leader, syncs the tail, and closes the
+// file. Safe to call more than once; only the first call does work, and
+// the log is unusable afterward. On a bricked log it returns the error
+// that bricked it (joined with any close error): the tail never became
+// durable.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	serr := error(nil)
-	if l.broken == nil {
-		serr = l.syncLocked()
+	err := l.broken
+	if err == nil {
+		err = l.syncToLocked(l.size)
 	}
-	cerr := l.f.Close()
-	flusherRunning := l.opts.SyncEvery > 0
-	l.mu.Unlock()
-	if flusherRunning {
-		close(l.wake)
-		<-l.done
+	for l.syncing {
+		l.cond.Wait()
 	}
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return errors.Join(err, l.f.Close())
 }

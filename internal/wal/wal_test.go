@@ -279,9 +279,315 @@ func TestBrokenLogStaysBroken(t *testing.T) {
 	if err := l.Append([]byte("three")); err == nil {
 		t.Fatal("broken log accepted another append")
 	}
-	if !errors.Is(l.Close(), faultio.ErrKilled) && l.Close() == nil {
-		// Close reports the underlying close failure; it must not claim
-		// durability for the unacked records either way.
-		t.Log("close error tolerated")
+	// Close must not claim durability for the unacked tail: it reports
+	// the error that bricked the log, and the dead process's close.
+	if err := l.Close(); !errors.Is(err, faultio.ErrKilled) || !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("Close on a bricked log = %v, want the sync fault and the kill", err)
+	}
+}
+
+// gateFS is a faultio.FS whose files keep writes in memory until Sync,
+// like a page cache a power cut drops: only bytes a completed Sync
+// covered ever reach the real file. Every Sync first reports itself on
+// entered, then blocks until gate is closed; the first one fails with
+// failFirst when that is set, and a failed Sync discards every pending
+// byte. The counters let a test check what each ack was covered by.
+type gateFS struct {
+	faultio.FS
+	entered   chan struct{}
+	gate      chan struct{}
+	failFirst error
+
+	mu           sync.Mutex
+	syncs        int   // Sync calls
+	durable      int64 // bytes persisted by completed Syncs
+	inSync       int   // Syncs in flight
+	closedInSync bool  // a Close ran while a Sync was in flight
+}
+
+func newGateFS() *gateFS {
+	// entered holds more reports than any test issues Syncs, so a Sync
+	// never blocks on reporting itself.
+	return &gateFS{FS: faultio.OS, entered: make(chan struct{}, 64), gate: make(chan struct{})}
+}
+
+func (g *gateFS) OpenAppend(path string) (faultio.File, error) {
+	f, err := g.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, fs: g}, nil
+}
+
+func (g *gateFS) durableBytes() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.durable
+}
+
+func (g *gateFS) syncCount() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.syncs
+}
+
+type gateFile struct {
+	faultio.File
+	fs      *gateFS
+	pending []byte
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	f.pending = append(f.pending, p...)
+	return len(p), nil
+}
+
+func (f *gateFile) Sync() error {
+	g := f.fs
+	g.mu.Lock()
+	g.syncs++
+	first := g.syncs == 1
+	g.inSync++
+	covered := len(f.pending) // a sync covers what was written before it
+	gate := g.gate
+	g.mu.Unlock()
+	g.entered <- struct{}{}
+	<-gate
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.inSync--
+	if first && g.failFirst != nil {
+		f.pending = nil
+		return g.failFirst
+	}
+	if _, err := f.File.Write(f.pending[:covered]); err != nil {
+		return err
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.pending = f.pending[covered:]
+	g.durable += int64(covered)
+	return nil
+}
+
+func (f *gateFile) Close() error {
+	f.fs.mu.Lock()
+	if f.fs.inSync > 0 {
+		f.fs.closedInSync = true
+	}
+	f.fs.mu.Unlock()
+	return f.File.Close()
+}
+
+// startLeader appends rec on its own goroutine and returns once that
+// append is the leader, blocked inside its fsync; the append's result
+// arrives on the returned channel.
+func startLeader(t *testing.T, l *Log, g *gateFS, rec []byte) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- l.Append(rec) }()
+	<-g.entered
+	return done
+}
+
+// waitForSize blocks until every enqueued frame has been written. It
+// only ever tries the log's lock, so a leader that wrongly holds it
+// across its fsync fails the test instead of hanging it.
+func waitForSize(t *testing.T, l *Log, size int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if l.mu.TryLock() {
+			n := l.size
+			l.mu.Unlock()
+			if n >= size {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("log never reached %d bytes while the leader synced", size)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func framesSize(recs [][]byte) int64 {
+	n := int64(0)
+	for _, r := range recs {
+		n += int64(headerSize + len(r))
+	}
+	return n
+}
+
+// TestLeaderGroupCommitExact makes the grouping deterministic: appender
+// 1 leads and blocks inside its fsync, 31 more appenders write their
+// records and wait, then the fsync is released. Exactly one more fsync
+// must cover all 31 — 2 fsyncs for 32 appends — and no append may
+// return before a completed fsync covered its record's end offset.
+func TestLeaderGroupCommitExact(t *testing.T) {
+	g := newGateFS()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(32)
+	leader := startLeader(t, l, g, recs[0])
+	errs := make(chan error, len(recs)-1)
+	for _, r := range recs[1:] {
+		go func(r []byte) {
+			c := l.Enqueue(r)
+			if err := c.Wait(); err != nil {
+				errs <- err
+				return
+			}
+			if d := g.durableBytes(); d < c.end {
+				errs <- fmt.Errorf("append acked at offset %d with only %d bytes synced", c.end, d)
+				return
+			}
+			errs <- nil
+		}(r)
+	}
+	waitForSize(t, l, framesSize(recs))
+	close(g.gate)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	for range recs[1:] {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := g.syncCount(); n != 2 {
+		t.Fatalf("%d fsyncs for %d appends, want exactly 2", n, len(recs))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.syncCount(); n != 2 {
+		t.Fatalf("Close of a fully synced log issued another fsync (%d total)", n)
+	}
+	got, err := Replay(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+	}
+}
+
+// TestLeaderCloseWaitsForSync issues Close while the leader is blocked
+// inside its fsync: Close must wait for that fsync before closing the
+// file, and the leader's append must still be acked.
+func TestLeaderCloseWaitsForSync(t *testing.T) {
+	g := newGateFS()
+	l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := startLeader(t, l, g, []byte("leader"))
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	// Close marks the log closed before it waits; once that is visible
+	// it is parked behind the leader.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if l.mu.TryLock() {
+			c := l.closed
+			l.mu.Unlock()
+			if c {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never got past the log's lock while the leader synced")
+		}
+	}
+	if err := l.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append to a closing log = %v, want ErrClosed", err)
+	}
+	close(g.gate)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader append: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	g.mu.Lock()
+	closedInSync := g.closedInSync
+	g.mu.Unlock()
+	if closedInSync {
+		t.Fatal("Close closed the file while the leader's fsync was in flight")
+	}
+}
+
+// TestLeaderSyncFailureReachesEveryWaiter fails the leader's fsync while
+// N followers wait on it: the leader and every follower get the error,
+// the log stays bricked, and — with unsynced writes lost as a power cut
+// loses them — replay holds exactly the acked records.
+func TestLeaderSyncFailureReachesEveryWaiter(t *testing.T) {
+	g := newGateFS()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(12)
+	acked := recs[:3]
+	// Three clean appends first through an open gate, then re-arm it
+	// with its next Sync failing.
+	close(g.gate)
+	for _, r := range acked {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(g.entered) > 0 {
+		<-g.entered
+	}
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.syncs = 0
+	g.failFirst = faultio.ErrInjected
+	g.mu.Unlock()
+
+	leader := startLeader(t, l, g, recs[3])
+	followers := recs[4:]
+	errs := make(chan error, len(followers))
+	for _, r := range followers {
+		go func(r []byte) { errs <- l.Append(r) }(r)
+	}
+	waitForSize(t, l, framesSize(recs))
+	close(g.gate)
+	if err := <-leader; !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("leader append = %v, want the sync fault", err)
+	}
+	for range followers {
+		if err := <-errs; !errors.Is(err, faultio.ErrInjected) {
+			t.Fatalf("follower append = %v, want the leader's sync fault", err)
+		}
+	}
+	if err := l.Append([]byte("after")); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("append to a bricked log = %v, want the sync fault", err)
+	}
+	if err := l.Sync(); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("Sync of a bricked log = %v, want the sync fault", err)
+	}
+	if err := l.Close(); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("Close of a bricked log = %v, want the sync fault", err)
+	}
+	got, err := Replay(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(acked) {
+		t.Fatalf("replayed %d records, want exactly the %d acked", len(got), len(acked))
+	}
+	for i := range acked {
+		if !bytes.Equal(got[i], acked[i]) {
+			t.Fatalf("record %d mismatch", i)
+		}
 	}
 }
