@@ -13,7 +13,6 @@
 //	bvindex -index docs.idx -query "compressed lists"            # AND
 //	bvindex -index docs.idx -query "bitmap inverted" -mode or
 //	bvindex -index docs.idx -query "compression" -mode topk -k 3
-//	bvindex -index docs.idx -query "compression" -mode topk -algo bmw
 //	bvindex -from-wal data/live -out recovered.idx              # recover a live dir
 package main
 
@@ -48,7 +47,6 @@ func main() {
 		query     = flag.String("query", "", "space-separated query terms")
 		mode      = flag.String("mode", "and", "query mode: and | or | topk")
 		k         = flag.Int("k", 5, "result count for -mode topk")
-		algo      = flag.String("algo", "auto", "top-k algorithm: auto | exhaustive | maxscore | bmw")
 	)
 	flag.Parse()
 	if err := validateFlags(flag.CommandLine); err != nil {
@@ -69,7 +67,7 @@ func main() {
 			fatal("%v", err)
 		}
 	case *query != "":
-		if err := runQuery(*indexFile, *query, *mode, *k, *algo, os.Stdout); err != nil {
+		if err := runQuery(*indexFile, *query, *mode, *k, os.Stdout); err != nil {
 			fatal("%v", err)
 		}
 	default:
@@ -92,11 +90,6 @@ func validateFlags(fs *flag.FlagSet) error {
 	}
 	if m := get("mode").(string); m != "and" && m != "or" && m != "topk" {
 		return fmt.Errorf("-mode=%q: want and, or, or topk", m)
-	}
-	switch get("algo").(string) {
-	case "auto", "exhaustive", "maxscore", "bmw":
-	default:
-		return fmt.Errorf("-algo=%q: want auto, exhaustive, maxscore, or bmw", get("algo").(string))
 	}
 	if v := get("k").(int); v < 1 {
 		return fmt.Errorf("-k=%d: result count must be at least 1", v)
@@ -339,7 +332,7 @@ func formatMix(mix map[string]int) string {
 	return strings.Join(parts, " ")
 }
 
-func runQuery(indexFile, query, mode string, k int, algo string, w io.Writer) error {
+func runQuery(indexFile, query, mode string, k int, w io.Writer) error {
 	if indexFile == "" {
 		return fmt.Errorf("query mode needs -index")
 	}
@@ -366,7 +359,7 @@ func runQuery(indexFile, query, mode string, k int, algo string, w io.Writer) er
 		fmt.Fprintf(w, "OR%v -> %d docs: %v\n", terms, len(docs), docs)
 	case "topk":
 		var stats ops.TopKStats
-		results, err := idx.TopKWith(algo, k, &stats, terms...)
+		results, err := idx.TopKWith("", k, &stats, terms...)
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@
 //	                                                        # 2 shards x 2 bvserve replicas
 //
 //	GET /search?q=compressed+lists&mode=and                 # same API as bvserve,
-//	GET /search?q=bitmap&mode=topk&k=3&algo=bmw             # plus partial/degradedShards
+//	GET /search?q=bitmap&mode=topk&k=3                      # plus partial/degradedShards
 //	GET /stats                                              # per-shard latency/hedge/degraded
 //	GET /healthz                                            # ok | partial | down
 //	GET /readyz

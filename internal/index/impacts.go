@@ -482,9 +482,8 @@ func (c *blockImpactCursor) BlocksDecoded() int { return c.decoded }
 // impact-less indexes, legacy formats) falls back to decoded postings
 // — cache-served when hot — with impacts taken from the stored
 // annotations or derived on the fly from the frequency payload.
-// native reports whether every resolved term had stored annotations.
-func (idx *Index) topkLists(terms []string) (lists []ops.ImpactList, native bool) {
-	native = true
+func (idx *Index) topkLists(terms []string) []ops.ImpactList {
+	var lists []ops.ImpactList
 	for _, t := range terms {
 		e, ok := idx.entry(t)
 		if !ok || e.posting.Len() == 0 {
@@ -500,9 +499,8 @@ func (idx *Index) topkLists(terms []string) (lists []ops.ImpactList, native bool
 			lists = append(lists, &termImpactList{meta: e.impacts, vals: idx.DecodedPostings(t)})
 			continue
 		}
-		native = false
 		vals := idx.DecodedPostings(t)
 		lists = append(lists, &termImpactList{meta: buildImpactMeta(vals, e.freqs), vals: vals})
 	}
-	return lists, native
+	return lists
 }

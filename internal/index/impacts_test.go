@@ -68,7 +68,7 @@ func sectionOffsets4(file []byte) (secs [4][2]uint64) {
 }
 
 // topkAlgos pins every evaluation algorithm for differential checks.
-var topkAlgos = []string{"exhaustive", "maxscore", "bmw"}
+var topkAlgos = []string{"exhaustive", "bmw"}
 
 // bruteIndexTopK recomputes the expected ranked result straight from
 // decoded postings and quantized frequencies.
@@ -272,7 +272,7 @@ func skewedDocs(n int, seed int64) []string {
 
 // TestTopKPrunedMatchesExhaustiveProperty is the differential property
 // test: across seeded corpora, codecs, query shapes, and k (including
-// k far beyond the result count), Block-Max-WAND and MaxScore return
+// k far beyond the result count), Block-Max-WAND returns
 // exactly the exhaustive ranking — through BVIX3 v4 write and reopen,
 // where the pruned evaluation runs over lazily decoded blocks.
 func TestTopKPrunedMatchesExhaustiveProperty(t *testing.T) {

@@ -423,41 +423,39 @@ type Result = ops.ScoredDoc
 
 // TopK ranks the documents matching at least one query term by summed
 // quantized impact, descending (ascending docid on ties), and returns
-// the best k. It runs the engine's pruned document-at-a-time evaluation:
-// Block-Max-WAND when every term carries stored impact annotations (a
-// BVIX3 v4 index); exhaustive evaluation otherwise, with impacts derived
-// from the frequency payload (or pure document counting when no
-// frequencies exist). Only a list-coded term's posting is decoded block
+// the best k. It runs Block-Max-WAND over each term's impacts: the
+// stored annotations of a BVIX3 v4 index, or annotations derived from
+// the frequency payload (pure document counting when no frequencies
+// exist). Only a list-coded term with stored impacts is decoded block
 // by block, so that blocks which cannot beat the heap threshold stay
-// compressed; a bitmap-coded term has no block frame and is decoded
-// whole (from the decoded cache when attached). Terms absent from the
-// index simply contribute nothing.
+// compressed; any other term is decoded whole (from the decoded cache
+// when attached). Terms absent from the index simply contribute nothing.
 func (idx *Index) TopK(k int, terms ...string) ([]Result, error) {
-	return idx.TopKWith("auto", k, nil, terms...)
+	return idx.TopKWith("", k, nil, terms...)
 }
 
-// TopKWith is TopK with the pruning algorithm pinned and optional work
-// accounting. algo is one of "auto" (or ""), "exhaustive", "maxscore",
-// "bmw"; every algorithm returns the identical result list, so pinning
-// is for benchmarking and differential testing. When stats is non-nil
-// it is filled with the evaluation's work counters.
+// TopKWith is TopK with optional work accounting and the algorithm
+// named: "" or "auto" or "bmw" for Block-Max-WAND, "exhaustive" for the
+// reference that scores every document — both return the identical
+// result list, so naming one is for benchmarking and differential
+// testing. When stats is non-nil it is filled with the evaluation's
+// work counters.
 func (idx *Index) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...string) ([]Result, error) {
-	var mode ops.TopKMode
-	lists, native := idx.topkLists(terms)
-	switch algo {
-	case "", "auto":
-		mode = ops.TopKExhaustive
-		if native {
-			mode = ops.TopKBlockMax
-		}
-	case "exhaustive":
-		mode = ops.TopKExhaustive
-	case "maxscore":
-		mode = ops.TopKMaxScore
-	case "bmw":
-		mode = ops.TopKBlockMax
-	default:
-		return nil, fmt.Errorf("index: unknown top-k algorithm %q", algo)
+	mode, err := topkMode(algo)
+	if err != nil {
+		return nil, err
 	}
-	return ops.TopK(mode, k, lists, stats), nil
+	return ops.TopK(mode, k, idx.topkLists(terms), stats), nil
+}
+
+// topkMode resolves a TopKWith algorithm name — the one check both
+// Index and Live make before anything else.
+func topkMode(algo string) (ops.TopKMode, error) {
+	switch algo {
+	case "", "auto", "bmw":
+		return ops.TopKBlockMax, nil
+	case "exhaustive":
+		return ops.TopKExhaustive, nil
+	}
+	return 0, fmt.Errorf("index: unknown top-k algorithm %q", algo)
 }

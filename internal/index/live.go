@@ -885,9 +885,8 @@ func (l *Live) maskGlobals(list []uint32, epoch int) []uint32 {
 	return out
 }
 
-// pseudoSegs enumerates the query targets: sealed segments first (file
-// order), then the frozen segment, then the mutable one. Caller holds
-// mu shared.
+// memView is one in-memory query target; memViews lists the frozen
+// segment, if any, then the mutable one. Caller holds mu shared.
 type memView struct {
 	m     *MemSegment
 	epoch int
@@ -949,57 +948,81 @@ func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem fun
 // descending, docid ascending on ties) — identical to TopK on a
 // from-scratch index over the surviving documents.
 func (l *Live) TopK(k int, terms ...string) ([]Result, error) {
-	return l.TopKWith("auto", k, nil, terms...)
+	return l.TopKWith("", k, nil, terms...)
 }
 
-// TopKWith is TopK with the sealed segments' pruning algorithm pinned
-// and, when stats is non-nil, their work counters summed into it (the
-// mutable segment is always scored exhaustively and not counted). Each
-// sealed segment is asked for k plus the number of tombstones that
-// could mask its results, so masking can never starve the merged
-// candidate set.
+// rankView is one segment as a ranked query sees it: the source of its
+// impact lists, the map from its docids to global ones (nil when they
+// already are global), and which docids' tombstones can mask it (nil
+// for the mutable segment, whose deletes are physical).
+type rankView struct {
+	src    rankSource
+	global func(uint32) uint32
+	holds  func(uint32) bool
+	epoch  int
+}
+
+// rankSource builds a segment's impact lists: *Index for a sealed
+// segment, *MemSegment for an in-memory one.
+type rankSource interface {
+	topkLists(terms []string) []ops.ImpactList
+}
+
+// rankViews lists the segments a ranked query scores: every sealed one
+// that is not quarantined, then the in-memory ones. Caller holds mu
+// shared.
+func (l *Live) rankViews() []rankView {
+	var out []rankView
+	for _, seg := range l.sealed {
+		if !seg.quarantined {
+			out = append(out, rankView{seg.snap.Index(), seg.ranges.toGlobal, seg.ranges.contains, seg.epoch})
+		}
+	}
+	for _, v := range l.memViews() {
+		rv := rankView{src: v.m, epoch: v.epoch}
+		if v.mask {
+			rv.holds = v.m.Has
+		}
+		out = append(out, rv)
+	}
+	return out
+}
+
+// TopKWith is TopK with optional work accounting and the algorithm
+// named as Index.TopKWith names it. Every segment — sealed, frozen and
+// mutable — is ranked by ops.TopK, and stats, when non-nil, receives
+// the sum of their work counters. Each segment is asked for k plus the
+// number of tombstones that could mask its results, so masking can
+// never starve the merged candidate set.
 func (l *Live) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...string) ([]Result, error) {
+	mode, err := topkMode(algo)
+	if err != nil || k <= 0 {
+		return nil, err
+	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if k <= 0 {
-		return nil, nil
-	}
 	var lists [][]Result
 	var total ops.TopKStats
-	for _, seg := range l.sealed {
-		if seg.quarantined {
-			continue
-		}
+	for _, v := range l.rankViews() {
 		extra := 0
 		for _, d := range l.tombSorted {
-			if seg.ranges.contains(d) && l.tombBounds[d] >= seg.epoch {
+			if v.holds != nil && v.holds(d) && l.tombBounds[d] >= v.epoch {
 				extra++
 			}
 		}
 		var st ops.TopKStats
-		rs, err := seg.snap.Index().TopKWith(algo, k+extra, &st, terms...)
-		if err != nil {
-			return nil, err
-		}
+		rs := ops.TopK(mode, k+extra, v.src.topkLists(terms), &st)
 		total.Add(st)
 		keep := rs[:0]
 		for _, r := range rs {
-			r.Doc = seg.ranges.toGlobal(r.Doc)
-			if !l.maskedLocked(r.Doc, seg.epoch) {
+			if v.global != nil {
+				r.Doc = v.global(r.Doc)
+			}
+			if v.holds == nil || !l.maskedLocked(r.Doc, v.epoch) {
 				keep = append(keep, r)
 			}
 		}
 		lists = append(lists, keep)
-	}
-	for _, v := range l.memViews() {
-		scores := memScores(v.m, terms)
-		cands := make([]Result, 0, len(scores))
-		for d, s := range scores {
-			if !v.mask || !l.maskedLocked(d, v.epoch) {
-				cands = append(cands, Result{Doc: d, Score: int(s)})
-			}
-		}
-		lists = append(lists, cands)
 	}
 	if stats != nil {
 		*stats = total

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/faultio"
+	"repro/internal/ops"
 )
 
 // naiveLive recomputes the truth for a live index: the surviving
@@ -402,6 +403,65 @@ func TestLiveAutoSealCompact(t *testing.T) {
 	checkLiveMatches(t, l, docs, liveQueries)
 	if s := l.Stats(); s.Seals == 0 {
 		t.Fatalf("auto-seal never fired: %+v", s)
+	}
+}
+
+// TestLiveTopKRejectsUnknownAlgo: Live.TopKWith resolves the algorithm
+// name before anything else, exactly as Index.TopKWith does, so an
+// unknown name fails even when no sealed segment exists to refuse it.
+func TestLiveTopKRejectsUnknownAlgo(t *testing.T) {
+	l, err := OpenLive(t.TempDir(), LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Add("alpha beta"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.TopKWith("bogus", 5, nil, "alpha"); err == nil {
+		t.Fatal("TopKWith accepted an unknown algorithm")
+	}
+	if _, err := l.TopKWith("bogus", 0, nil, "alpha"); err == nil {
+		t.Fatal("TopKWith accepted an unknown algorithm at k=0")
+	}
+}
+
+// TestLiveTopKStatsCoverMutable: the mutable segment ranks through the
+// same Block-Max-WAND scorer as a sealed one, so a live index holding
+// only unsealed documents reports real work counters, and its ranking
+// equals TopK on a from-scratch index of the same documents.
+func TestLiveTopKStatsCoverMutable(t *testing.T) {
+	l, err := OpenLive(t.TempDir(), LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	docs := map[uint32]string{}
+	for _, text := range skewedDocs(600, 5) {
+		id, err := l.Add(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[id] = text
+	}
+	if s := l.Stats(); s.Segments != 0 || s.MemDocs != len(docs) {
+		t.Fatalf("want every document in the mutable segment: %+v", s)
+	}
+	n := buildNaive(t, docs)
+	for _, q := range [][]string{{"rare"}, {"rare", "common0"}, {"mid", "common1", "common1"}, {"absent", "mid"}} {
+		for _, k := range []int{1, 10, 1000} {
+			var st ops.TopKStats
+			got, err := l.TopKWith("", k, &st, q...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := n.topk(t, k, q...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("TOPK %v k=%d: live %v, from scratch %v", q, k, got, want)
+			}
+			if st.Mode != "bmw" || st.Lists == 0 || st.DocsScored == 0 {
+				t.Fatalf("TOPK %v k=%d: stats %+v, want bmw work over the mutable segment", q, k, st)
+			}
+		}
 	}
 }
 

@@ -157,18 +157,16 @@ func memDisjunctive(m *MemSegment, terms []string) []uint32 {
 	return ops.UnionMany(lists)
 }
 
-// memScores accumulates quantized-impact scores for every document
-// matching at least one term — the mutable half of a live top-k, using
-// the same QuantizeImpact formula the sealed evaluation uses. Each term
-// occurrence contributes its list, duplicated terms included, exactly
-// as TopKWith treats its term slice.
-func memScores(m *MemSegment, terms []string) map[uint32]uint32 {
-	scores := map[uint32]uint32{}
+// topkLists is Index.topkLists for the segment: each term occurrence's
+// postings with impacts derived from its frequencies, duplicated terms
+// included, so a live top-k ranks this segment through the same scorer
+// as a sealed one.
+func (m *MemSegment) topkLists(terms []string) []ops.ImpactList {
+	var lists []ops.ImpactList
 	for _, t := range terms {
-		list, freqs := m.Postings(t)
-		for i, d := range list {
-			scores[d] += uint32(QuantizeImpact(freqs[i]))
+		if list, freqs := m.Postings(t); len(list) > 0 {
+			lists = append(lists, &termImpactList{meta: buildImpactMeta(list, freqs), vals: list})
 		}
 	}
-	return scores
+	return lists
 }

@@ -14,8 +14,7 @@ import (
 type Request struct {
 	Mode  string // "and" | "or" | "topk"
 	Terms []string
-	K     int    // topk only
-	Algo  string // topk only: "" | "auto" | "exhaustive" | "maxscore" | "bmw"
+	K     int // topk only
 }
 
 // Answer is what a Searcher returns. Boolean modes fill Docs (ascending
@@ -78,7 +77,7 @@ func search(ctx context.Context, e evaluator, req Request) (Answer, error) {
 		return Answer{Docs: docs}, err
 	case "topk":
 		stats := new(ops.TopKStats)
-		ranked, err := e.TopKWith(req.Algo, req.K, stats, req.Terms...)
+		ranked, err := e.TopKWith("", req.K, stats, req.Terms...)
 		return Answer{Ranked: ranked, TopK: stats}, err
 	}
 	return Answer{}, ErrBadMode

@@ -107,6 +107,48 @@ func BenchmarkVUnpackBase(b *testing.B) {
 	})
 }
 
+// BenchmarkVUnpackFusedVsLoop asks whether the fused full-block kernels
+// earn their generated code: VUnpackDelta and VUnpackBase against what
+// the SIMDBP128 and SIMDBP128* partial-block decode runs instead —
+// VUnpack into a [128]uint32 scratch block, then the prefix-sum or
+// base-add loop over its first 127 values (intlist/simd.go).
+func BenchmarkVUnpackFusedVsLoop(b *testing.B) {
+	for w := uint(0); w <= 32; w++ {
+		_, src := benchInputs(w)
+		for _, c := range []struct {
+			name string
+			run  func(out *[127]uint32)
+		}{
+			{"delta/fused", func(out *[127]uint32) { VUnpackDelta(src, out, 1, w) }},
+			{"delta/loop", func(out *[127]uint32) {
+				var dec [128]uint32
+				VUnpack(src, &dec, w)
+				prev := uint32(1)
+				for k := range out {
+					prev += dec[k]
+					out[k] = prev
+				}
+			}},
+			{"base/fused", func(out *[127]uint32) { VUnpackBase(src, out, 1, w) }},
+			{"base/loop", func(out *[127]uint32) {
+				var dec [128]uint32
+				VUnpack(src, &dec, w)
+				for k := range out {
+					out[k] = 1 + dec[k]
+				}
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/b=%d", c.name, w), func(b *testing.B) {
+				b.SetBytes(128 * 4)
+				var out [127]uint32
+				for i := 0; i < b.N; i++ {
+					c.run(&out)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBitops(b *testing.B) {
 	const n = 1 << 12
 	rng := rand.New(rand.NewSource(7))

@@ -225,9 +225,6 @@ func doOne(client *http.Client, base string, q *Query, sched time.Time, win *Win
 	u := base + "/search?mode=" + q.Mode + "&q=" + url.QueryEscape(strings.Join(q.Terms, " "))
 	if q.Mode == "topk" {
 		u += "&k=" + strconv.Itoa(q.K)
-		if q.Algo != "" {
-			u += "&algo=" + q.Algo
-		}
 	}
 	resp, err := client.Get(u)
 	var (

@@ -24,16 +24,11 @@ func DefaultMix() Mix { return Mix{Point: 4, And: 3, Or: 2, TopK: 1} }
 
 func (m Mix) total() int { return m.Point + m.And + m.Or + m.TopK }
 
-// topkAlgos are the algorithm pins a workload rotates its ranked
-// queries through ("" lets the server pick automatically).
-var topkAlgos = []string{"", "exhaustive", "maxscore", "bmw"}
-
 // Query is one replayable request with its precomputed ground truth.
 type Query struct {
 	Mode  string   // "and" | "or" | "topk"
 	Terms []string // query terms (zipfian-sampled)
 	K     int      // topk only
-	Algo  string   // topk only: "" | "exhaustive" | "maxscore" | "bmw"
 
 	// Expected is the exact healthy-server answer: the sorted doc list
 	// for and/or, the ranked doc sequence (score order) for topk.
@@ -94,12 +89,7 @@ func BuildWorkload(idx *index.Index, vocab []string, n int, seed int64, mix Mix)
 		case r < mix.Point+mix.And+mix.Or:
 			q = Query{Mode: "or", Terms: pick(2 + rng.Intn(3))}
 		default:
-			// Rotate the ranked queries across every algorithm (auto,
-			// pinned exhaustive, MaxScore, Block-Max-WAND): all must
-			// reproduce the same precomputed ranking, so the replay
-			// verifies the pruned paths end-to-end against ground truth.
-			algo := topkAlgos[rng.Intn(len(topkAlgos))]
-			q = Query{Mode: "topk", Terms: pick(1 + rng.Intn(3)), K: 3 + rng.Intn(15), Algo: algo}
+			q = Query{Mode: "topk", Terms: pick(1 + rng.Intn(3)), K: 3 + rng.Intn(15)}
 		}
 		var err error
 		switch q.Mode {

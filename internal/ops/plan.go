@@ -50,8 +50,8 @@ func Eval(e Expr, postings []core.Posting) ([]uint32, error) {
 			return Intersect(pick(postings, leaves))
 		}
 		// Mixed node: evaluate the sub-expressions to lists, then probe
-		// the remaining compressed leaves against the running result
-		// (skip pointers for lists, decompress-and-merge for bitmaps).
+		// the remaining compressed leaves, shortest first, against the
+		// running result through Intersect's own probeAnd.
 		var lists [][]uint32
 		var leafPs []core.Posting
 		for _, a := range e.Args {
@@ -70,24 +70,17 @@ func Eval(e Expr, postings []core.Posting) ([]uint32, error) {
 		for _, l := range lists[1:] {
 			cur = IntersectSorted(cur, l)
 		}
-		sort.SliceStable(leafPs, func(i, j int) bool { return leafPs[i].Len() < leafPs[j].Len() })
+		sortPostingsByLen(leafPs)
+		// cur is this call's own heap slice, never an arena buffer, so
+		// probeAnd may filter it in place or recycle it into the arena,
+		// and what it returns never aliases pooled scratch.
+		a := getArena()
+		defer putArena(a)
 		for _, p := range leafPs {
 			if len(cur) == 0 {
-				return cur, nil
+				break
 			}
-			if s, ok := p.(core.Seeker); ok {
-				if p.Len() < mergeRatio*len(cur) {
-					cur = mergeProbe(cur, s.Iterator())
-				} else {
-					cur = skipProbe(cur, s.Iterator())
-				}
-				continue
-			}
-			if lp, ok := p.(core.ListProber); ok {
-				cur = lp.IntersectList(cur)
-				continue
-			}
-			cur = IntersectSorted(cur, p.Decompress())
+			cur = probeAnd(a, cur, p)
 		}
 		return cur, nil
 	default: // OpOr

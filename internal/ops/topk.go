@@ -1,8 +1,8 @@
 // Ranked top-k retrieval: document-at-a-time scorers over
-// impact-annotated posting lists. Three algorithms share one heap and
-// one cursor interface — an exhaustive multiway merge (the differential
-// reference), MaxScore term partitioning, and Block-Max-WAND — and all
-// three return the identical result list: the k highest-scoring
+// impact-annotated posting lists. Two algorithms share one heap and one
+// cursor interface — Block-Max-WAND, the one served scorer, and an
+// exhaustive multiway merge, its differential reference — and both
+// return the identical result list: the k highest-scoring
 // documents ordered by (score desc, doc asc), where a document's score
 // is the sum of its quantized per-term impacts across every query term
 // that contains it (disjunctive semantics).
@@ -24,16 +24,9 @@ type TopKMode int
 const (
 	// TopKExhaustive scores every document in the union of the query's
 	// posting lists with a document-at-a-time multiway merge. It decodes
-	// every block and is the reference the pruned algorithms are
-	// differentially tested against.
+	// every block and is the reference Block-Max-WAND is differentially
+	// tested against.
 	TopKExhaustive TopKMode = iota
-	// TopKMaxScore orders terms by ascending maximum impact and splits
-	// them into a non-essential prefix (whose summed maxima cannot beat
-	// the heap threshold) and an essential tail: candidates are drawn
-	// only from essential lists, and non-essential lists are probed
-	// highest-max first with an early exit as soon as the remaining
-	// upper bound cannot lift the partial score past the threshold.
-	TopKMaxScore
 	// TopKBlockMax is Block-Max-WAND: WAND pivot selection on term
 	// maxima, refined by per-block maxima — when the sum of the pivot
 	// blocks' maxima cannot beat the threshold, the cursors skip
@@ -47,8 +40,6 @@ func (m TopKMode) String() string {
 	switch m {
 	case TopKExhaustive:
 		return "exhaustive"
-	case TopKMaxScore:
-		return "maxscore"
 	case TopKBlockMax:
 		return "bmw"
 	default:
@@ -103,7 +94,7 @@ type ScoredDoc struct {
 
 // TopKStats reports where a top-k evaluation spent its work. The
 // decoded-vs-total block counters are the proof of real skipping:
-// exhaustive always decodes everything, the pruned algorithms must not.
+// exhaustive always decodes everything, Block-Max-WAND must not.
 type TopKStats struct {
 	Mode          string `json:"mode"`
 	Lists         int    `json:"lists"`
@@ -114,7 +105,7 @@ type TopKStats struct {
 }
 
 // Add folds another evaluation's counters into s — how a live index
-// sums over its sealed segments and a router over its shards. Mode
+// sums over its segments and a router over its shards. Mode
 // keeps the first algorithm reported.
 func (s *TopKStats) Add(o TopKStats) {
 	if s.Mode == "" {
@@ -221,7 +212,7 @@ func MergeRanked(lists [][]ScoredDoc, k int) []ScoredDoc {
 }
 
 // TopK returns the k highest-scoring documents across lists under the
-// selected algorithm. All modes return identical results; they differ
+// selected algorithm. Both modes return identical results; they differ
 // only in how much work they skip. Empty lists are ignored; fewer than
 // k results are returned when the union is smaller than k. stats, when
 // non-nil, is filled with the evaluation's work counters.
@@ -251,8 +242,6 @@ func TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDo
 	h := &topkHeap{k: k}
 	scored := 0
 	switch mode {
-	case TopKMaxScore:
-		scored = topkMaxScore(live, cursors, h)
 	case TopKBlockMax:
 		scored = topkBMW(live, cursors, h)
 	default:
@@ -307,103 +296,6 @@ func topkExhaustive(cursors []ImpactCursor, h *topkHeap) int {
 		h.offer(ScoredDoc{Doc: d, Score: int(score)})
 	}
 	return scored
-}
-
-// topkMaxScore implements the MaxScore partitioning. Lists are ordered
-// by ascending term maximum; ub[i] is the summed maxima of lists
-// [0, i], so lists 0..ess-1 (where ub[ess-1] <= threshold) are
-// non-essential: a document appearing ONLY in them cannot beat the
-// heap. Candidates come from essential lists; non-essential lists are
-// probed from highest maximum downward with an early exit once the
-// remaining upper bound cannot close the gap.
-func topkMaxScore(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
-	n := len(lists)
-	if n == 0 {
-		return 0
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return lists[order[a]].TermMax() < lists[order[b]].TermMax()
-	})
-	type state struct {
-		c    ImpactCursor
-		doc  uint32
-		live bool
-	}
-	st := make([]state, n)
-	ub := make([]int64, n) // ub[i] = sum of term maxima of lists 0..i in order
-	var acc int64
-	for i, oi := range order {
-		acc += int64(lists[oi].TermMax())
-		ub[i] = acc
-		c := cursors[oi]
-		d, ok := c.Next()
-		st[i] = state{c: c, doc: d, live: ok}
-	}
-	ess := 0 // first essential index; ub[ess-1] <= threshold
-	scored := 0
-	for {
-		thr := h.threshold()
-		for ess < n && ub[ess] <= thr {
-			ess++
-		}
-		if ess == n {
-			return scored // even all terms together cannot beat the heap
-		}
-		// Next candidate: minimum current doc over live essential lists.
-		d := uint32(0)
-		found := false
-		for i := ess; i < n; i++ {
-			if st[i].live && (!found || st[i].doc < d) {
-				d = st[i].doc
-				found = true
-			}
-		}
-		if !found {
-			return scored // essential lists exhausted; the rest cannot win
-		}
-		var score int64
-		for i := ess; i < n; i++ {
-			if st[i].live && st[i].doc == d {
-				score += int64(st[i].c.Impact())
-				if nd, ok := st[i].c.Next(); ok {
-					st[i].doc = nd
-				} else {
-					st[i].live = false
-				}
-			}
-		}
-		// Probe non-essential lists highest-max first; stop as soon as
-		// the achievable total cannot strictly beat the threshold.
-		pruned := false
-		for i := ess - 1; i >= 0; i-- {
-			if score+ub[i] <= thr {
-				pruned = true
-				break
-			}
-			if !st[i].live {
-				continue
-			}
-			if st[i].doc < d {
-				if v, ok := st[i].c.SeekGEQ(d); ok {
-					st[i].doc = v
-				} else {
-					st[i].live = false
-					continue
-				}
-			}
-			if st[i].doc == d {
-				score += int64(st[i].c.Impact())
-			}
-		}
-		if !pruned && score > thr {
-			scored++
-			h.offer(ScoredDoc{Doc: d, Score: int(score)})
-		}
-	}
 }
 
 // topkBMW implements Block-Max-WAND. The WAND pivot — the first

@@ -19,14 +19,14 @@
 //   - ops.Intersect's mixed bitmap×list and galloping SvS intersection
 //     kernels vs the plain sorted-slice merge, across skews up to
 //     10^4:1;
-//   - the pruned ranked-retrieval algorithms (MaxScore, Block-Max-WAND)
-//     vs exhaustive evaluation, in memory and through a BVIX3 v4
+//   - the pruned ranked-retrieval algorithm (Block-Max-WAND) vs
+//     exhaustive evaluation, in memory and through a BVIX3 v4
 //     (impact-annotated) write and reopen — result lists must be
 //     identical, down to the deterministic docid tie-break;
 //   - the doc-partitioned scatter-gather router vs the unpartitioned
-//     index, across 1/2/4/8 shards on and/or/top-k (every algorithm,
-//     k up to 100000), including a shard-file + manifest disk
-//     roundtrip — merged answers must be byte-identical;
+//     index, across 1/2/4/8 shards on and/or/top-k (k up to 100000),
+//     including a shard-file + manifest disk roundtrip — merged
+//     answers must be byte-identical;
 //   - the WAL-backed multi-segment live index vs a from-scratch
 //     rebuild of the surviving documents, across 1/2/4 sealed segments
 //     with and without deletions, before compaction, after compaction,
@@ -473,11 +473,11 @@ func CheckMixedIntersect(seed int64) error {
 	return nil
 }
 
-// CheckTopK drives the pruned ranked-retrieval algorithms against
+// CheckTopK drives the pruned ranked-retrieval algorithm against
 // exhaustive evaluation on randomized corpora and query mixes — in
 // memory (derived impacts) and through a BVIX3 v4 write and reopen
 // (stored impact annotations, lazy block-decoding cursors). Every
-// algorithm must return the identical result list: same documents,
+// algorithm name must return the identical result list: same documents,
 // same scores, same order, including the ascending-docid tie-break and
 // k far beyond the result count. The exhaustive evaluation is itself
 // cross-checked between the two views, so a divergence pins the failure
@@ -513,7 +513,7 @@ func CheckTopK(seed int64, dir string) error {
 			name string
 			idx  *index.Index
 		}{{"in-memory", mem}, {"v4-mapped", mapped}} {
-			for _, algo := range []string{"exhaustive", "maxscore", "bmw", "auto"} {
+			for _, algo := range []string{"exhaustive", "bmw", "auto"} {
 				got, err := view.idx.TopKWith(algo, k, nil, terms...)
 				if err != nil {
 					return fmt.Errorf("%s: %s %s k=%d %v: %w", codecName, view.name, algo, k, terms, err)
@@ -545,7 +545,7 @@ func sortU32(a []uint32) {
 // round-robin across 1, 2, 4, and 8 shards (each shard its own index,
 // codec rotating with the seed) and queried through shard.Router on
 // and/or (sorted merged postings vs Conjunctive/Disjunctive) and top-k
-// under every algorithm and k in {1, 5, 20, 100000} vs exhaustive
+// with k in {1, 5, 20, 100000} vs exhaustive
 // evaluation. For the 4-shard split the shard files and checksummed
 // manifest also make a disk roundtrip — written the way `bvindex
 // -partition` writes them, verified, reopened via mmap — and must
@@ -618,20 +618,18 @@ func CheckSharded(seed int64, dir string) error {
 			if err != nil {
 				return fmt.Errorf("%s: exhaustive k=%d %v: %w", codec.Name(), k, terms, err)
 			}
-			for _, algo := range []string{"exhaustive", "maxscore", "bmw", "auto"} {
-				got, err := r.Search(ctx, shard.Request{Mode: "topk", Terms: terms, K: k, Algo: algo})
-				if err != nil || got.Partial {
-					return fmt.Errorf("%s n=%d: topk %s k=%d %v: partial=%v err=%v", codec.Name(), n, algo, k, terms, got.Partial, err)
-				}
-				if len(got.Ranked) != len(want) {
-					return fmt.Errorf("%s n=%d: topk %s k=%d %v: %d results, exhaustive %d",
-						codec.Name(), n, algo, k, terms, len(got.Ranked), len(want))
-				}
-				for i := range got.Ranked {
-					if got.Ranked[i] != want[i] {
-						return fmt.Errorf("%s n=%d: topk %s k=%d %v rank %d: %+v, exhaustive %+v",
-							codec.Name(), n, algo, k, terms, i, got.Ranked[i], want[i])
-					}
+			got, err := r.Search(ctx, shard.Request{Mode: "topk", Terms: terms, K: k})
+			if err != nil || got.Partial {
+				return fmt.Errorf("%s n=%d: topk k=%d %v: partial=%v err=%v", codec.Name(), n, k, terms, got.Partial, err)
+			}
+			if len(got.Ranked) != len(want) {
+				return fmt.Errorf("%s n=%d: topk k=%d %v: %d results, exhaustive %d",
+					codec.Name(), n, k, terms, len(got.Ranked), len(want))
+			}
+			for i := range got.Ranked {
+				if got.Ranked[i] != want[i] {
+					return fmt.Errorf("%s n=%d: topk k=%d %v rank %d: %+v, exhaustive %+v",
+						codec.Name(), n, k, terms, i, got.Ranked[i], want[i])
 				}
 			}
 		}

@@ -129,7 +129,6 @@ func TestOneTableThreeFronts(t *testing.T) {
 		{"bogus mode", "/search?q=common&mode=bogus", 400, "mode must be and | or | topk"},
 		{"k=0", "/search?q=common&mode=topk&k=0", 400, "bad k parameter"},
 		{"k over limit", "/search?q=common&mode=topk&k=51", 400, "k=51 exceeds limit 50"},
-		{"bogus algo", "/search?q=common&mode=topk&algo=bogus", 400, "algo must be auto | exhaustive | maxscore | bmw"},
 		{"over-long URI", "/search?q=" + strings.Repeat("x", 600), 414, "request URI exceeds 512 bytes"},
 	}
 	for _, tc := range malformed {
@@ -148,9 +147,9 @@ func TestOneTableThreeFronts(t *testing.T) {
 		"/search?q=even+rare&mode=or",
 		"/search?q=absent&mode=or",
 		"/search?q=even+rare&mode=topk",
-		"/search?q=rare+third+common&mode=topk&k=7&algo=maxscore",
-		"/search?q=common&mode=topk&k=50&algo=bmw",
-		"/search?q=even&mode=topk&k=3&algo=exhaustive",
+		"/search?q=rare+third+common&mode=topk&k=7",
+		"/search?q=common&mode=topk&k=50",
+		"/search?q=even&mode=topk&k=3",
 	} {
 		var want server.SearchResponse
 		for _, name := range []string{"static", "live", "router"} {
@@ -174,14 +173,21 @@ func TestOneTableThreeFronts(t *testing.T) {
 		}
 	}
 
-	// The live front honours algo and reports the sealed segments' work.
-	var got server.SearchResponse
-	rec := get(fronts["live"], "/search?q=common+even&mode=topk&algo=maxscore")
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
-		t.Fatalf("live maxscore: %d %s (%v)", rec.Code, rec.Body, err)
+	// The live front ranks its sealed and its mutable segment with
+	// Block-Max-WAND and reports both segments' work: 2 lists each,
+	// holding between them every posting the static index holds.
+	var live, static server.SearchResponse
+	for _, f := range []struct {
+		name string
+		into *server.SearchResponse
+	}{{"live", &live}, {"static", &static}} {
+		rec := get(fronts[f.name], "/search?q=common+even&mode=topk")
+		if err := json.Unmarshal(rec.Body.Bytes(), f.into); err != nil || rec.Code != http.StatusOK || f.into.TopK == nil {
+			t.Fatalf("%s topk: %d %s (%v)", f.name, rec.Code, rec.Body, err)
+		}
 	}
-	if got.TopK == nil || got.TopK.Mode != "maxscore" || got.TopK.Lists != 2 || got.TopK.Postings == 0 {
-		t.Errorf("live maxscore: topk stats %+v, want maxscore over the sealed segment's 2 lists", got.TopK)
+	if live.TopK.Mode != "bmw" || live.TopK.Lists != 4 || live.TopK.Postings != static.TopK.Postings {
+		t.Errorf("live topk stats %+v, want bmw over 4 lists and the static index's %d postings", live.TopK, static.TopK.Postings)
 	}
 }
 

@@ -82,7 +82,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // with AppendJSON and read back by shard.HTTPBackend with
 // ParseSearchResponse (wire.go); its tags are the spec both follow.
 // TopK carries the pruning work counters for ranked queries, so callers
-// (and the load harness) can see how many blocks the chosen algorithm
+// (and the load harness) can see how many blocks Block-Max-WAND
 // actually decoded. The last three fields appear only on a router's
 // answers.
 type SearchResponse struct {
@@ -98,7 +98,7 @@ type SearchResponse struct {
 }
 
 // parseSearch is the one /search validation: tokenize, term limit,
-// mode, k and its limit, algo. Every refusal is an *index.BadRequest.
+// mode, k and its limit. Every refusal is an *index.BadRequest.
 func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 	req := index.Request{Mode: q.Get("mode"), Terms: index.Tokenize(q.Get("q"))}
 	if len(req.Terms) == 0 {
@@ -122,12 +122,6 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 		}
 		if req.K > s.cfg.MaxK {
 			return req, &index.BadRequest{Msg: fmt.Sprintf("k=%d exceeds limit %d", req.K, s.cfg.MaxK)}
-		}
-		req.Algo = q.Get("algo")
-		switch req.Algo {
-		case "", "auto", "exhaustive", "maxscore", "bmw":
-		default:
-			return req, &index.BadRequest{Msg: "algo must be auto | exhaustive | maxscore | bmw"}
 		}
 	default:
 		return req, index.ErrBadMode

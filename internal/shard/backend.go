@@ -116,9 +116,6 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, er
 	q.Set("mode", req.Mode)
 	if req.Mode == "topk" {
 		q.Set("k", strconv.Itoa(req.K))
-		if req.Algo != "" {
-			q.Set("algo", req.Algo)
-		}
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, b.Base+"/search?"+q.Encode(), nil)
 	if err != nil {

@@ -124,7 +124,7 @@ func TestPartitionRefusals(t *testing.T) {
 }
 
 // TestRouterIdentity is the merge-exactness proof at unit scale: every
-// mode and algorithm through the router across shard counts must equal
+// mode through the router across shard counts must equal
 // the single-index reference bit for bit.
 func TestRouterIdentity(t *testing.T) {
 	docs := testCorpus(211) // prime, so shard sizes differ
@@ -170,19 +170,17 @@ func TestRouterIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, algo := range []string{"", "exhaustive", "maxscore", "bmw"} {
-					got, err := r.Search(ctx, Request{Mode: "topk", Terms: q, K: k, Algo: algo})
-					if err != nil {
-						t.Fatalf("n=%d topk %v k=%d algo=%q: %v", n, q, k, algo, err)
-					}
-					if len(got.Ranked) != len(want) {
-						t.Fatalf("n=%d topk %v k=%d algo=%q: %d results, want %d", n, q, k, algo, len(got.Ranked), len(want))
-					}
-					for i := range want {
-						if got.Ranked[i] != want[i] {
-							t.Fatalf("n=%d topk %v k=%d algo=%q: rank %d = %+v, want %+v",
-								n, q, k, algo, i, got.Ranked[i], want[i])
-						}
+				got, err := r.Search(ctx, Request{Mode: "topk", Terms: q, K: k})
+				if err != nil {
+					t.Fatalf("n=%d topk %v k=%d: %v", n, q, k, err)
+				}
+				if len(got.Ranked) != len(want) {
+					t.Fatalf("n=%d topk %v k=%d: %d results, want %d", n, q, k, len(got.Ranked), len(want))
+				}
+				for i := range want {
+					if got.Ranked[i] != want[i] {
+						t.Fatalf("n=%d topk %v k=%d: rank %d = %+v, want %+v",
+							n, q, k, i, got.Ranked[i], want[i])
 					}
 				}
 			}
@@ -400,7 +398,7 @@ func TestRouterHTTP(t *testing.T) {
 	if m["partial"] == true {
 		t.Fatal("unexpected partial")
 	}
-	m = getJSON("/search?q=even&mode=topk&k=5&algo=bmw", http.StatusOK)
+	m = getJSON("/search?q=even&mode=topk&k=5", http.StatusOK)
 	if int(m["matches"].(float64)) != 5 {
 		t.Fatalf("topk matches = %v, want 5", m["matches"])
 	}

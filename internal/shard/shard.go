@@ -33,7 +33,7 @@
 // per-shard top-k lists and keeping the best k reproduces the global
 // top-k bit for bit. The oracle pairing CheckSharded proves this
 // against the single-index reference for every shard count × query
-// mode × algorithm.
+// mode.
 package shard
 
 import "fmt"
