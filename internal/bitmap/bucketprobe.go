@@ -12,10 +12,12 @@ import (
 // bitmap with a compressed sparse list without decompressing either
 // side: bucket keys line up with the list's skip blocks, matching
 // buckets are probed element-wise in whichever direction is cheaper.
+// The same bucket walk ORs a posting into the dense union's word array
+// (core.WordOrer).
 
 var (
-	_ core.BucketProber = (*roaringPosting)(nil)
-	_ core.BucketProber = (*roaringRunPosting)(nil)
+	_ core.WordOrer = (*roaringPosting)(nil)
+	_ core.WordOrer = (*roaringRunPosting)(nil)
 )
 
 // containerContains is the one-shot membership test across all three
@@ -52,4 +54,22 @@ func (p *roaringRunPosting) BucketContains(i int, lo uint16) bool {
 }
 func (p *roaringRunPosting) AppendBucket(i int, dst []uint32) []uint32 {
 	return p.cs[i].appendAll(dst, uint32(p.keys[i])<<16)
+}
+
+// OrWordsInto implements core.WordOrer.
+func (p *roaringPosting) OrWordsInto(words []uint64, base uint32) {
+	orBucketsInto(p.keys, p.cs, words, base)
+}
+
+// OrWordsInto implements core.WordOrer.
+func (p *roaringRunPosting) OrWordsInto(words []uint64, base uint32) {
+	orBucketsInto(p.keys, p.cs, words, base)
+}
+
+// orBucketsInto ORs every container into the 1024 words its bucket
+// spans in words, whose bit 0 stands for value base.
+func orBucketsInto(keys []uint16, cs []container, words []uint64, base uint32) {
+	for i, c := range cs {
+		orContainerInto(words[(uint32(keys[i])<<16-base)>>6:], c)
+	}
 }

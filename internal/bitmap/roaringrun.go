@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 )
 
 // RoaringRun is the unified-compression extension the paper's lesson 1
@@ -266,31 +267,33 @@ func orRunAware(a, b container, out []uint32, high uint32) []uint32 {
 		return orContainers(a, b, out, high)
 	}
 	var merged bitmapContainer
-	fillScratch(&merged, a)
-	fillScratch(&merged, b)
+	orContainerInto(merged.words[:], a)
+	orContainerInto(merged.words[:], b)
 	return merged.appendAll(out, high)
 }
 
-// fillScratch ORs a container of any kind into a scratch bitmap.
-func fillScratch(dst *bitmapContainer, c container) {
+// orContainerInto ORs a container of any kind into words, bit i
+// standing for low value i: bitmap containers OR in word-wise, arrays
+// set bits, runs fill word-masked ranges. words may stop short of 1024
+// only past the container's last value.
+func orContainerInto(words []uint64, c container) {
 	switch cc := c.(type) {
 	case arrayContainer:
 		for _, v := range cc {
-			dst.words[v>>6] |= 1 << (v & 63)
+			words[v>>6] |= 1 << (v & 63)
 		}
 	case *bitmapContainer:
-		for i, w := range cc.words {
-			dst.words[i] |= w
-		}
+		w := words[:min(len(words), len(cc.words))]
+		kernels.OrWords(w, w, cc.words[:])
 	case *runContainer:
 		for _, r := range cc.runs {
-			setRange(&dst.words, uint32(r.start), uint32(r.last))
+			setRange(words, uint32(r.start), uint32(r.last))
 		}
 	}
 }
 
 // setRange sets bits [lo, hi] (inclusive) word-wise.
-func setRange(words *[1024]uint64, lo, hi uint32) {
+func setRange(words []uint64, lo, hi uint32) {
 	loW, hiW := lo>>6, hi>>6
 	loMask := ^uint64(0) << (lo & 63)
 	hiMask := ^uint64(0) >> (63 - hi&63)

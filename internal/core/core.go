@@ -141,6 +141,19 @@ type BucketProber interface {
 	AppendBucket(i int, dst []uint32) []uint32
 }
 
+// WordOrer is implemented by bucketed bitmap postings that can OR
+// their values straight into a caller's uncompressed bit array — the
+// dense union's accumulator: bitmap containers OR in word-wise, array
+// containers set bits, run containers fill word-masked ranges, and no
+// value list is materialized.
+type WordOrer interface {
+	BucketProber
+	// OrWordsInto sets bit v-base of words for every value v of the
+	// posting. base must be a multiple of 2^16 no greater than the
+	// first bucket's values, and words must reach the last value.
+	OrWordsInto(words []uint64, base uint32)
+}
+
 // BlockDecoder is implemented by list postings stored in the fixed
 // block frame (intlist.Blocked): the posting exposes its physical
 // blocks so ranked-retrieval cursors can decode only the blocks whose

@@ -395,10 +395,12 @@ func (idx *Index) Conjunctive(terms ...string) ([]uint32, error) {
 }
 
 // Disjunctive returns the documents containing at least one term. With
-// a cache attached, hot terms skip decompression: the union merges the
-// cached decoded lists (UnionMany never writes into its inputs, so the
-// shared slices stay intact). Without a cache the native compressed-form
-// union path is used, as before.
+// a cache attached, hot terms skip decompression: the union runs over
+// the cached decoded lists (UnionMany never writes into its inputs, so
+// the shared slices stay intact). Without a cache, ops.Union reads the
+// compressed postings directly: a dense union ORs them into one word
+// array (Roaring containers word-wise, list blocks bit by bit), a
+// sparse one takes the native same-codec pair, then a merge.
 func (idx *Index) Disjunctive(terms ...string) ([]uint32, error) {
 	if idx.cache != nil {
 		var lists [][]uint32

@@ -139,3 +139,26 @@ func OrWordsExtract(dst []uint32, a, b []uint64, base uint32) []uint32 {
 	}
 	return ExtractWords(dst, a[n:], base+uint32(n)<<6)
 }
+
+// DrainWords writes the positions of the set bits of words — word i
+// contributing base + 64*i + TrailingZeros — into dst in increasing
+// order, zeroing each word as it reads it, and returns the number
+// written. dst must have room for PopcountWords(words) values. It is
+// the dense union's one extraction pass: the accumulator it reads
+// comes back clear for the next query, with no separate clear pass.
+func DrainWords(dst []uint32, words []uint64, base uint32) int {
+	k := 0
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[i] = 0
+		p := base + uint32(i)<<6
+		for w != 0 {
+			dst[k] = p + uint32(bits.TrailingZeros64(w))
+			k++
+			w &= w - 1
+		}
+	}
+	return k
+}

@@ -96,6 +96,31 @@ func TestExtractWords(t *testing.T) {
 	}
 }
 
+// TestDrainWords: DrainWords extracts what ExtractWords does, fills an
+// exactly sized destination, and leaves every word zero.
+func TestDrainWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 3, 64, 129, 300} {
+		words := randWords(rng, n)
+		base := rng.Uint32() &^ 0xffff
+		want := naiveExtract(nil, words, base)
+		got := make([]uint32, PopcountWords(words))
+		if k := DrainWords(got, words, base); k != len(got) || !equalU32(got, want) {
+			t.Fatalf("n=%d: DrainWords mismatch (%d of %d values)", n, k, len(want))
+		}
+		if PopcountWords(words) != 0 {
+			t.Fatalf("n=%d: words not cleared", n)
+		}
+	}
+	// The top word of the 32-bit domain.
+	top := []uint64{1<<63 | 1}
+	got := make([]uint32, 2)
+	DrainWords(got, top, 1<<32-64)
+	if got[0] != 1<<32-64 || got[1] != 1<<32-1 {
+		t.Fatalf("top word: %v", got)
+	}
+}
+
 func TestCombineExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, na := range []int{0, 1, 5, 127, 128, 129, 400} {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codecs"
 	"repro/internal/core"
+	"repro/internal/gen"
 )
 
 // engineCodecs are the families exercised by the plan tests: a
@@ -142,6 +143,22 @@ func TestOpsConcurrentPooled(t *testing.T) {
 	}
 	wantAnd := naiveEval(And(Leaf(0), Leaf(1), Leaf(2)), ps)
 	wantOr := naiveEval(Or(Leaf(3), Leaf(4), Leaf(5)), ps)
+	// Dense unions share the pooled word accumulator.
+	var densePs []core.Posting
+	var denseLists [][]uint32
+	for i, name := range []string{"Roaring", "SIMDBP128*", "Roaring+Run"} {
+		c, err := codecs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := gen.Uniform(4000, 1<<17, int64(70+i))
+		p, err := c.Compress(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		densePs, denseLists = append(densePs, p), append(denseLists, l)
+	}
+	wantDense := refUnionMany(denseLists)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -166,6 +183,14 @@ func TestOpsConcurrentPooled(t *testing.T) {
 					!equalU32(normalizeQ(and), normalizeQ(wantAnd)) ||
 					!equalU32(normalizeQ(or), normalizeQ(wantOr)) {
 					t.Errorf("goroutine %d iter %d: wrong result", g, iter)
+				}
+				dense, err := Union(densePs)
+				if err != nil {
+					done <- err
+					return
+				}
+				if !equalU32(dense, wantDense) || !equalU32(UnionMany(append([][]uint32(nil), denseLists...)), wantDense) {
+					t.Errorf("goroutine %d iter %d: wrong dense union", g, iter)
 				}
 			}
 			done <- nil

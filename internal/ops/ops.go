@@ -249,10 +249,19 @@ func sortPostingsByLen(ps []core.Posting) {
 	}
 }
 
-// Union computes the union of k compressed postings. Same-codec bitmap
-// pairs OR natively on the compressed form; everything else is
-// decompressed and merged linearly (§4.3), which also covers mixed
-// families.
+// Union computes the union of k compressed postings. The operands
+// choose the path (denseUnion): when their summed length is a fair
+// fraction of the span their values cover, every operand ORs into one
+// word array and a single pass extracts the result (dense.go) — the
+// paper's finding that bitmaps win union on dense data (§4.3), applied
+// to the result. Otherwise same-codec bitmap pairs OR natively on the
+// compressed form and everything else is decompressed and merged
+// linearly, which also covers mixed families.
+//
+// A leading operand that ORs natively but not into words (the
+// run-length bitmaps: WAH, EWAH, Concise, ...) keeps the native pair:
+// its compressed-form OR already runs word-wise, and bounding its
+// values would cost a full decode.
 func Union(postings []core.Posting) ([]uint32, error) {
 	switch len(postings) {
 	case 0:
@@ -260,48 +269,69 @@ func Union(postings []core.Posting) ([]uint32, error) {
 	case 1:
 		return postings[0].Decompress(), nil
 	}
+	if _, native := postings[0].(core.Unioner); native {
+		if _, words := postings[0].(core.WordOrer); !words {
+			return unionSparse(postings, nil)
+		}
+	}
+	a := getAccumulator()
+	out, err := a.union(postings)
+	putAccumulator(a)
+	return out, err
+}
+
+// unionSparse is Union's merge side: a native same-codec pair first,
+// then decompress-and-merge. decoded, when non-nil, holds the decodes
+// made while bounding the operands (nil entries for operands bounded
+// without one); they are used instead of decompressing again.
+func unionSparse(postings []core.Posting, decoded [][]uint32) ([]uint32, error) {
+	decode := func(i int) []uint32 {
+		if decoded != nil && decoded[i] != nil {
+			return decoded[i]
+		}
+		return postings[i].Decompress()
+	}
 	var cur []uint32
 	haveCur := false
-	rest := postings[1:]
+	rest := 1
 	if u, ok := postings[0].(core.Unioner); ok {
 		r, err := u.UnionWith(postings[1])
 		switch {
 		case err == nil:
 			cur = r
 			haveCur = true
-			rest = postings[2:]
+			rest = 2
 		case errors.Is(err, core.ErrIncompatible):
 			// Mixed operands: generic path below.
 		default:
 			return nil, err
 		}
 	}
-	lists := make([][]uint32, 0, len(rest)+1)
+	lists := make([][]uint32, 0, len(postings)-rest+1)
 	if haveCur {
-		if len(rest) == 0 {
+		if rest == len(postings) {
 			return cur, nil
 		}
 		lists = append(lists, cur)
 	} else {
-		lists = append(lists, postings[0].Decompress())
+		lists = append(lists, decode(0))
 	}
-	for _, p := range rest {
-		lists = append(lists, p.Decompress())
+	for i := rest; i < len(postings); i++ {
+		lists = append(lists, decode(i))
 	}
-	return UnionMany(lists), nil
+	return unionMerge(lists), nil
 }
 
-// heapWidth is the operand count above which UnionMany switches from
+// heapWidth is the operand count above which unionMerge switches from
 // pairwise merging (O(N·k) worst case) to a k-way heap merge
 // (O(N log k)).
 const heapWidth = 8
 
-// UnionMany merges k sorted lists: pairwise smallest-first for few
-// lists, a k-way heap merge for many (wide disjunctive queries). It is
-// the one plain-list docid merge: the cached index OR, the live index's
-// per-segment answers and the router's per-shard answers all use it. It
-// reorders lists but never writes into a list, and the result never
-// aliases one.
+// UnionMany unions k sorted lists. It is the one plain-list docid
+// union: the cached index OR, the live index's per-segment answers, the
+// router's per-shard answers and table.SelectAny all use it. Dense inputs accumulate into one word array (denseUnion); sparse
+// ones merge (unionMerge). It may reorder lists but never writes into a
+// list, and the result never aliases one.
 func UnionMany(lists [][]uint32) []uint32 {
 	switch len(lists) {
 	case 0:
@@ -311,6 +341,15 @@ func UnionMany(lists [][]uint32) []uint32 {
 		copy(out, lists[0])
 		return out
 	}
+	if lo, hi, total := listBounds(lists); denseUnion(total, lo, hi) {
+		return unionListWords(lists, lo, hi)
+	}
+	return unionMerge(lists)
+}
+
+// unionMerge merges k >= 2 sorted lists: pairwise smallest-first for
+// few lists, a k-way heap merge for many (wide disjunctive queries).
+func unionMerge(lists [][]uint32) []uint32 {
 	if len(lists) >= heapWidth {
 		return unionHeapMerge(lists)
 	}

@@ -39,6 +39,28 @@ func TestUnionManyHeapPath(t *testing.T) {
 	}
 }
 
+// TestUnionManyHeapPathSparse is TestUnionManyHeapPath's sparse twin:
+// over a 2^28 domain the same list counts stay below the dense cut, so
+// UnionMany reaches unionHeapMerge rather than the word array.
+func TestUnionManyHeapPathSparse(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 6; trial++ {
+		k := heapWidth + rng.Intn(12)
+		lists := make([][]uint32, k)
+		for i := range lists {
+			lists[i] = gen.Uniform(rng.Intn(3000), 1<<28, int64(650+trial*50+i))
+		}
+		if lo, hi, total := listBounds(lists); denseUnion(total, lo, hi) {
+			t.Fatalf("trial %d: inputs take the dense path", trial)
+		}
+		want := refUnionMany(lists)
+		got := UnionMany(lists)
+		if !equalU32(got, want) {
+			t.Fatalf("trial %d: %d values, want %d", trial, len(got), len(want))
+		}
+	}
+}
+
 // TestUnionManyHeapEdgeCases: empty operands, identical lists, single
 // survivors.
 func TestUnionManyHeapEdgeCases(t *testing.T) {
