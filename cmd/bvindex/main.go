@@ -7,7 +7,7 @@
 //
 //	bvindex -build -in docs.txt -out docs.idx -codec Roaring
 //	bvindex -build -in docs.txt -out docs.idx -codec auto        # adaptive per-list selection
-//	bvindex -build -in docs.txt -out docs.idx -shards 8 -format bvix2
+//	bvindex -build -in docs.txt -out docs.idx -shards 8
 //	bvindex -build -in docs.txt -out docs.idx -format bvix3+impacts  # ranked annotations
 //	bvindex -build -in docs.txt -partition 4 -out shards/shards.json # doc-partitioned shards
 //	bvindex -index docs.idx -query "compressed lists"            # AND
@@ -41,7 +41,7 @@ func main() {
 		outFile   = flag.String("out", "", "output index file (build mode)")
 		indexFile = flag.String("index", "", "index file to query")
 		codecName = flag.String("codec", "Roaring", "codec for posting lists, or \"auto\" for adaptive per-list selection (build mode)")
-		format    = flag.String("format", "bvix3", "output format: bvix3 | bvix3+impacts | bvix2 (build mode)")
+		format    = flag.String("format", "bvix3", "output format: bvix3 | bvix3+impacts (build mode)")
 		shards    = flag.Int("shards", 0, "tokenizer shards for parallel build (0 = GOMAXPROCS)")
 		partition = flag.Int("partition", 0, "split the corpus across N doc-partitioned serving shards, writing shard-XXXX.bvix files plus a checksummed shard-map manifest at -out (build mode; 0 = single index)")
 		query     = flag.String("query", "", "space-separated query terms")
@@ -85,8 +85,8 @@ func validateFlags(fs *flag.FlagSet) error {
 			return fmt.Errorf("-codec=%q: not a codec name (try one of %v, or \"auto\")", name, codecs.Names())
 		}
 	}
-	if f := get("format").(string); f != "bvix3" && f != "bvix3+impacts" && f != "bvix2" {
-		return fmt.Errorf("-format=%q: want bvix3, bvix3+impacts, or bvix2", f)
+	if f := get("format").(string); f != "bvix3" && f != "bvix3+impacts" {
+		return fmt.Errorf("-format=%q: want bvix3 or bvix3+impacts", f)
 	}
 	if m := get("mode").(string); m != "and" && m != "or" && m != "topk" {
 		return fmt.Errorf("-mode=%q: want and, or, or topk", m)
@@ -109,9 +109,6 @@ func validateFlags(fs *flag.FlagSet) error {
 		}
 		if get("query").(string) != "" {
 			return fmt.Errorf("-from-wal: mutually exclusive with -query")
-		}
-		if f := get("format").(string); f == "bvix2" {
-			return fmt.Errorf("-from-wal: -format=bvix2 not supported; recovered exports are bvix3 or bvix3+impacts")
 		}
 	}
 	return nil
@@ -336,8 +333,8 @@ func runQuery(indexFile, query, mode string, k int, w io.Writer) error {
 	if indexFile == "" {
 		return fmt.Errorf("query mode needs -index")
 	}
-	// OpenFile maps BVIX3 indexes zero-copy and materializes only the
-	// postings the query touches; older formats load eagerly.
+	// OpenFile maps the index zero-copy and materializes only the
+	// postings the query touches.
 	idx, err := index.OpenFile(indexFile)
 	if err != nil {
 		return err

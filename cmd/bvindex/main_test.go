@@ -94,6 +94,9 @@ func TestBuildErrors(t *testing.T) {
 	if err := runBuild(docsFile, out, "Roaring", "bvix9", 0); err == nil {
 		t.Error("unknown format accepted")
 	}
+	if err := runBuild(docsFile, out, "Roaring", "bvix2", 0); err == nil {
+		t.Error("retired format bvix2 accepted")
+	}
 }
 
 func TestQueryErrors(t *testing.T) {
@@ -103,7 +106,7 @@ func TestQueryErrors(t *testing.T) {
 	}
 	docsFile := writeDocs(t, []string{"a doc"})
 	idxFile := filepath.Join(t.TempDir(), "q.idx")
-	if err := runBuild(docsFile, idxFile, "VB", "bvix2", 2); err != nil {
+	if err := runBuild(docsFile, idxFile, "VB", "bvix3", 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := runQuery(idxFile, "doc", "nonsense", 5, &buf); err == nil {

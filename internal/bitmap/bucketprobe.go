@@ -12,12 +12,11 @@ import (
 // bitmap with a compressed sparse list without decompressing either
 // side: bucket keys line up with the list's skip blocks, matching
 // buckets are probed element-wise in whichever direction is cheaper.
-// The same bucket walk ORs a posting into the dense union's word array
-// (core.WordOrer).
+// The same bucket walk ORs a posting into the dense union's word array.
 
 var (
-	_ core.WordOrer = (*roaringPosting)(nil)
-	_ core.WordOrer = (*roaringRunPosting)(nil)
+	_ core.BucketProber = (*roaringPosting)(nil)
+	_ core.BucketProber = (*roaringRunPosting)(nil)
 )
 
 // containerContains is the one-shot membership test across all three
@@ -56,12 +55,12 @@ func (p *roaringRunPosting) AppendBucket(i int, dst []uint32) []uint32 {
 	return p.cs[i].appendAll(dst, uint32(p.keys[i])<<16)
 }
 
-// OrWordsInto implements core.WordOrer.
+// OrWordsInto implements core.BucketProber.
 func (p *roaringPosting) OrWordsInto(words []uint64, base uint32) {
 	orBucketsInto(p.keys, p.cs, words, base)
 }
 
-// OrWordsInto implements core.WordOrer.
+// OrWordsInto implements core.BucketProber.
 func (p *roaringRunPosting) OrWordsInto(words []uint64, base uint32) {
 	orBucketsInto(p.keys, p.cs, words, base)
 }

@@ -123,7 +123,10 @@ type ListProber interface {
 // can intersect a compressed bitmap against a compressed list without
 // decompressing either side: the mixed kernel walks bucket keys against
 // the list's skip iterator, enumerating whichever side of a matching
-// bucket is cheaper and probing the other.
+// bucket is cheaper and probing the other. The same buckets OR straight
+// into the dense union's accumulator: bitmap containers OR in
+// word-wise, array containers set bits, run containers fill
+// word-masked ranges, and no value list is materialized.
 type BucketProber interface {
 	Posting
 	// NumBuckets reports the number of non-empty buckets.
@@ -139,15 +142,6 @@ type BucketProber interface {
 	// AppendBucket appends bucket i's values — with the key's high bits
 	// restored — to dst and returns the extended slice.
 	AppendBucket(i int, dst []uint32) []uint32
-}
-
-// WordOrer is implemented by bucketed bitmap postings that can OR
-// their values straight into a caller's uncompressed bit array — the
-// dense union's accumulator: bitmap containers OR in word-wise, array
-// containers set bits, run containers fill word-masked ranges, and no
-// value list is materialized.
-type WordOrer interface {
-	BucketProber
 	// OrWordsInto sets bit v-base of words for every value v of the
 	// posting. base must be a multiple of 2^16 no greater than the
 	// first bucket's values, and words must reach the last value.

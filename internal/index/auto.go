@@ -47,7 +47,7 @@ func AutoSelector() CodecSelector {
 
 // TermCodec reports the registry name of the codec compressing a
 // term's posting list ("" for unknown terms, and for entries whose
-// provenance did not record one, e.g. legacy BVIX2 reads).
+// provenance did not record one and whose blob names no codec).
 func (idx *Index) TermCodec(term string) string {
 	e, ok := idx.entry(term)
 	if !ok {

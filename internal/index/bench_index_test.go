@@ -29,7 +29,6 @@ const (
 var benchCorpus struct {
 	once  sync.Once
 	docs  []string
-	bvix2 []byte // serialized eager format
 	bvix3 []byte // serialized mmap format
 	probe [2]string
 }
@@ -65,14 +64,10 @@ func benchSetup(tb testing.TB) {
 		if err != nil {
 			panic(err)
 		}
-		var v2, v3 bytes.Buffer
-		if _, err := idx.WriteTo(&v2); err != nil {
+		var v3 bytes.Buffer
+		if _, err := idx.WriteTo(&v3); err != nil {
 			panic(err)
 		}
-		if _, err := idx.WriteBVIX3(&v3); err != nil {
-			panic(err)
-		}
-		benchCorpus.bvix2 = v2.Bytes()
 		benchCorpus.bvix3 = v3.Bytes()
 		// Two terms guaranteed present, for the first-query probe.
 		benchCorpus.probe = [2]string{"t00000", "t00001"}
@@ -136,27 +131,6 @@ func benchFirstQuery(b *testing.B, idx *Index) {
 		b.Fatal(err)
 	}
 	_ = docs
-}
-
-// BenchmarkIndexOpenEagerBVIX2 measures time-to-first-query for the
-// eager format: every iteration reads the file and decodes all 64Ki
-// dictionary entries before the query can run.
-func BenchmarkIndexOpenEagerBVIX2(b *testing.B) {
-	benchSetup(b)
-	path := benchWriteFile(b, benchCorpus.bvix2, "bench.bvix2")
-	b.ReportAllocs()
-	b.SetBytes(int64(len(benchCorpus.bvix2)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := OpenFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchFirstQuery(b, idx)
-		if err := idx.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkIndexOpenMmapBVIX3 measures time-to-first-query for the

@@ -102,13 +102,13 @@ var bvix3Magic = []byte("BVIX3")
 
 func align(n, a uint64) uint64 { return (n + a - 1) &^ (a - 1) }
 
-// WriteBVIX3 serializes the index in the BVIX3 format (version 3, no
-// impacts section — byte-identical to what previous builds wrote).
-// Output depends only on index contents: a parallel build writes
-// byte-identical files to a serial one. Lazily opened indexes are
-// materialized in full (every posting decoded, then re-marshaled), so
-// WriteBVIX3 also works as a format converter.
-func (idx *Index) WriteBVIX3(w io.Writer) (int64, error) {
+// WriteTo implements io.WriterTo: it serializes the index in the BVIX3
+// format (version 3, no impacts section — byte-identical to what
+// previous builds wrote). Output depends only on index contents: a
+// parallel build writes byte-identical files to a serial one. Lazily
+// opened indexes are materialized in full (every posting decoded, then
+// re-marshaled), so WriteTo also rewrites a v4 or salvaged file as v3.
+func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return idx.writeBVIX3(w, false)
 }
 
@@ -138,7 +138,7 @@ func (idx *Index) writeBVIX3(w io.Writer, withImpacts bool) (int64, error) {
 // bvix3Writer is the one BVIX3 encoder. Terms arrive one at a time in
 // strictly increasing name order and are encoded straight into the
 // section buffers; writeTo then emits the header and the sections.
-// WriteBVIX3 feeds it an index's entries, and compaction feeds it each
+// WriteTo feeds it an index's entries, and compaction feeds it each
 // merged term as soon as the term is merged, so a compaction never
 // holds more than one term's postings beside the encoded output.
 type bvix3Writer struct {
@@ -381,11 +381,11 @@ func parseBVIX3(data []byte) (*bvix3Geometry, error) {
 // own bytes and cannot be salvaged section by section. The returned
 // slice has one entry per section: 3 for v3 files, 4 for v4.
 func parseBVIX3Shell(data []byte) (*bvix3Geometry, []bvix3Section, error) {
+	if err := checkMagic(data); err != nil {
+		return nil, nil, err
+	}
 	if len(data) < bvix3DataStart {
 		return nil, nil, fmt.Errorf("index: %w: %d bytes is shorter than a BVIX3 header", core.ErrChecksum, len(data))
-	}
-	if !bytes.Equal(data[:len(bvix3Magic)], bvix3Magic) {
-		return nil, nil, fmt.Errorf("index: bad magic %q", data[:len(bvix3Magic)])
 	}
 	// The version byte positions the section table and header CRC, so
 	// it is read before the CRC check; an unsupported value fails here,
@@ -756,10 +756,10 @@ func (lz *lazyIndex) locate(term string) (dictRecord, int, bool) {
 	return dictRecord{}, 0, false
 }
 
-// allEntries materializes every term in dict order (for format
-// conversion via WriteTo/WriteBVIX3). On a degraded index the
-// quarantined terms are skipped — rewriting a salvaged index persists
-// exactly what it can still serve, which is the rebuild runbook.
+// allEntries materializes every term in dict order (for rewriting via
+// WriteTo/WriteBVIX3Impacts). On a degraded index the quarantined
+// terms are skipped — rewriting a salvaged index persists exactly what
+// it can still serve, which is the rebuild runbook.
 func (lz *lazyIndex) allEntries() ([]string, []termEntry, error) {
 	lz.mu.RLock()
 	defer lz.mu.RUnlock()
@@ -914,29 +914,22 @@ func openBVIX3Lazy(data []byte, closer io.Closer) (*Index, error) {
 // exercise that path on every platform.
 var openMapFile = mapfile.Open
 
-// OpenFile opens a persisted index from disk by path. BVIX3 files are
-// memory-mapped where the platform supports it (see mapfile) and their
+// OpenFile opens a persisted BVIX3 index from disk by path. The file
+// is memory-mapped where the platform supports it (see mapfile) and its
 // postings materialize lazily on first access, so time-to-first-query
 // is dominated by checksum verification rather than decompression.
-// BVIX2 files are read eagerly, exactly as Read would. The
-// returned index must be Closed when it came from a BVIX3 file and is
-// no longer being served; see Index.Close for the ownership rules.
+// Retired formats are refused by magic with core.ErrVersion. The
+// returned index must be Closed when it is no longer being served; see
+// Index.Close for the ownership rules.
 func OpenFile(path string) (*Index, error) {
 	mf, err := openMapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", path, err)
 	}
-	data := mf.Data()
-	if len(data) >= len(bvix3Magic) && bytes.Equal(data[:len(bvix3Magic)], bvix3Magic) {
-		idx, err := openBVIX3Lazy(data, mf)
-		if err != nil {
-			mf.Close()
-			return nil, err
-		}
-		return idx, nil
+	idx, err := openBVIX3Lazy(mf.Data(), mf)
+	if err != nil {
+		mf.Close()
+		return nil, err
 	}
-	// Legacy formats: parse eagerly from the mapped view (every parser
-	// copies what it keeps), then release the mapping.
-	defer mf.Close()
-	return Read(bytes.NewReader(data))
+	return idx, nil
 }

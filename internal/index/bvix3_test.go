@@ -18,16 +18,16 @@ import (
 	"repro/internal/core"
 )
 
-// serialize3 captures WriteBVIX3 output.
+// serialize3 captures WriteTo output.
 func serialize3(t testing.TB, idx *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := idx.WriteBVIX3(&buf)
+	n, err := idx.WriteTo(&buf)
 	if err != nil {
-		t.Fatalf("WriteBVIX3: %v", err)
+		t.Fatalf("WriteTo: %v", err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteBVIX3 reported %d bytes, wrote %d", n, buf.Len())
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
 }
@@ -141,17 +141,6 @@ func TestBVIX3ByteIdenticalAcrossShards(t *testing.T) {
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("shards=%d produced different bytes (%d vs %d)", shards, len(got), len(ref))
 		}
-	}
-	// And the BVIX2 writer stays deterministic through the same builder.
-	var a, b bytes.Buffer
-	if _, err := buildWideIndex(t, "Roaring", 1).WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildWideIndex(t, "Roaring", 4).WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("BVIX2 output differs across shard counts")
 	}
 }
 
@@ -357,8 +346,8 @@ func TestBVIX3EmptyIndex(t *testing.T) {
 	}
 }
 
-// TestBVIX3FormatConversion proves WriteTo/WriteBVIX3 on a lazily
-// opened index materialize through the mapping: BVIX3 → BVIX2 → BVIX3
+// TestBVIX3FormatConversion proves WriteTo on a lazily opened index
+// materializes through the mapping: BVIX3 → WriteTo → Read → WriteTo
 // reproduces the original file byte for byte.
 func TestBVIX3FormatConversion(t *testing.T) {
 	for _, codecName := range []string{"Roaring", "VB"} {
@@ -367,13 +356,13 @@ func TestBVIX3FormatConversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var asV2 bytes.Buffer
-		if _, err := lazy.WriteTo(&asV2); err != nil {
+		var streamed bytes.Buffer
+		if _, err := lazy.WriteTo(&streamed); err != nil {
 			t.Fatalf("%s: WriteTo from lazy: %v", codecName, err)
 		}
-		back, err := Read(bytes.NewReader(asV2.Bytes()))
+		back, err := Read(bytes.NewReader(streamed.Bytes()))
 		if err != nil {
-			t.Fatalf("%s: re-read BVIX2: %v", codecName, err)
+			t.Fatalf("%s: re-read: %v", codecName, err)
 		}
 		if got := serialize3(t, back); !bytes.Equal(got, orig) {
 			t.Fatalf("%s: conversion cycle changed bytes (%d vs %d)", codecName, len(got), len(orig))

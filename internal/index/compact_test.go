@@ -90,7 +90,7 @@ func compactFixture(t *testing.T, dir string, first, then core.Codec) (*Live, ma
 }
 
 // TestCompactStreamedMatchesExport requires the streamed compaction
-// output to be byte-identical to WriteBVIX3 of Export's in-memory merge
+// output to be byte-identical to WriteTo of Export's in-memory merge
 // of the same segments — one merge, one encoder, two sinks — and the
 // compacted index to answer like a from-scratch rebuild.
 func TestCompactStreamedMatchesExport(t *testing.T) {
@@ -116,7 +116,7 @@ func TestCompactStreamedMatchesExport(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want bytes.Buffer
-			if _, err := exported.WriteBVIX3(&want); err != nil {
+			if _, err := exported.WriteTo(&want); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Compact(); err != nil {
@@ -130,7 +130,7 @@ func TestCompactStreamedMatchesExport(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("streamed compaction wrote %d bytes that differ from WriteBVIX3 of the export (%d bytes)", len(got), want.Len())
+				t.Fatalf("streamed compaction wrote %d bytes that differ from WriteTo of the export (%d bytes)", len(got), want.Len())
 			}
 			// Every term of the fixture, the last in name order included.
 			queries := append([][]string{{"omega"}, {"kappa"}, {"sigma"}, {"reborn"}}, liveQueries...)

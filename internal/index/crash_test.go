@@ -47,7 +47,7 @@ func TestCrashConsistencyMatrix(t *testing.T) {
 		t.Fatal("old and new indexes must be distinguishable")
 	}
 
-	for _, format := range []Format{FormatBVIX3, FormatBVIX2} {
+	for _, format := range []Format{FormatBVIX3} {
 		format := format
 		t.Run(string(format), func(t *testing.T) {
 			dir := t.TempDir()
@@ -159,7 +159,7 @@ func TestWriteFileCleansTempOnFailure(t *testing.T) {
 // catch it at open — the flip cannot be served as silently-wrong data.
 func TestWriteFileSurvivesInFlightBitFlip(t *testing.T) {
 	idx := buildWideIndex(t, "Roaring", 1)
-	for _, format := range []Format{FormatBVIX3, FormatBVIX2} {
+	for _, format := range []Format{FormatBVIX3} {
 		path := filepath.Join(t.TempDir(), "idx")
 		in := faultio.NewInjector(faultio.OS,
 			faultio.Fault{Op: faultio.OpWrite, N: 1, Mode: faultio.ModeFlip, FlipBit: 16*8 + 3})

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -61,28 +60,22 @@ type Health struct {
 // summary for one opened by OpenFileDegraded.
 func (idx *Index) Health() Health { return idx.health }
 
-// OpenFileDegraded opens a persisted index like OpenFile but, when a
-// BVIX3 file fails section checksums, falls back to degraded mode:
-// quarantine what cannot be verified, serve the rest, and report the
-// damage through Index.Health. Files whose header or geometry is
-// unusable — and corrupt BVIX2 files, whose single trailer
-// checksum cannot localize damage — still fail outright.
+// OpenFileDegraded opens a persisted index like OpenFile but, when the
+// file fails section checksums, falls back to degraded mode: quarantine
+// what cannot be verified, serve the rest, and report the damage
+// through Index.Health. Files whose magic, header or geometry is
+// unusable still fail outright.
 func OpenFileDegraded(path string) (*Index, error) {
 	mf, err := openMapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", path, err)
 	}
-	data := mf.Data()
-	if len(data) >= len(bvix3Magic) && bytes.Equal(data[:len(bvix3Magic)], bvix3Magic) {
-		idx, err := openBVIX3Degraded(data, mf)
-		if err != nil {
-			mf.Close()
-			return nil, err
-		}
-		return idx, nil
+	idx, err := openBVIX3Degraded(mf.Data(), mf)
+	if err != nil {
+		mf.Close()
+		return nil, err
 	}
-	defer mf.Close()
-	return Read(bytes.NewReader(data))
+	return idx, nil
 }
 
 // postingInRange reports whether every decoded docid is strictly

@@ -244,6 +244,6 @@ func TestDegradedRebuildRunbook(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if _, err := degraded.WriteTo(&buf); err != nil {
-		t.Fatalf("BVIX2 conversion from degraded index: %v", err)
+		t.Fatalf("WriteTo from degraded index: %v", err)
 	}
 }

@@ -21,7 +21,7 @@ func FuzzFaultioOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteBVIX3(&buf); err != nil {
+	if _, err := idx.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	pristine := buf.Bytes()

@@ -9,57 +9,15 @@ import (
 	"repro/internal/codecs"
 )
 
-// FuzzIndexRead feeds arbitrary bytes through index.Read, mirroring
-// codecs.FuzzDecode one layer up. Read must never panic, and — because
-// every declared count is validated against the bytes actually present
-// — a lying header cannot force an allocation larger than the input
-// itself. Seeds cover the BVIX2 format across codec families, plus the
-// retired BVIX1 magic, which must be rejected before its header is read.
-func FuzzIndexRead(f *testing.F) {
-	build := func(codecName string) *Index {
-		idx, err := buildFuzzIndex(codecName)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return idx
-	}
-	for _, codecName := range []string{"Roaring", "VB", "PEF", "WAH"} {
-		idx := build(codecName)
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte{})
-	f.Add([]byte("BVIX1"))
-	f.Add(append([]byte("BVIX1"), bytes.Repeat([]byte{0xFF}, 8)...)) // header claiming 4G docs, 4G terms
-	f.Add([]byte("BVIX2"))
-	f.Add(append([]byte("BVIX2\x01"), 0, 0, 0, 0))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return // rejected: fine, as long as it didn't panic
-		}
-		// Accepted: the index must be internally consistent enough to
-		// answer its accessors and a query without panicking.
-		if idx.Docs() < 0 || idx.Terms() < 0 || idx.SizeBytes() < 0 {
-			t.Fatalf("accepted index with nonsense shape: docs=%d terms=%d size=%d",
-				idx.Docs(), idx.Terms(), idx.SizeBytes())
-		}
-		if _, err := idx.Conjunctive("compressed", "lists"); err != nil {
-			t.Logf("conjunctive on accepted index: %v", err)
-		}
-	})
-}
-
 // FuzzBVIX3Read feeds arbitrary bytes through both BVIX3 open paths —
-// the eager Read dispatch and the lazy zero-copy opener. Truncations,
-// flipped section lengths, and bad CRCs must surface as errors, never
-// panics; validation is pure arithmetic over declared counts before
-// anything is allocated, so a lying header cannot force an allocation
-// larger than the input itself. Accepted inputs must answer lookups
-// (including the lazy skip-frame search) without panicking.
+// the eager Read and the lazy zero-copy opener. Truncations, flipped
+// section lengths, and bad CRCs must surface as errors, never panics;
+// validation is pure arithmetic over declared counts before anything
+// is allocated, so a lying header cannot force an allocation larger
+// than the input itself. Accepted inputs must answer lookups
+// (including the lazy skip-frame search) without panicking. The
+// retired BVIX1 and BVIX2 magics seed the refusal, which must fire
+// before any of their header is read.
 func FuzzBVIX3Read(f *testing.F) {
 	for _, codecName := range []string{"Roaring", "VB", "PEF", "WAH"} {
 		idx, err := buildFuzzIndex(codecName)
@@ -67,7 +25,7 @@ func FuzzBVIX3Read(f *testing.F) {
 			f.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := idx.WriteBVIX3(&buf); err != nil {
+		if _, err := idx.WriteTo(&buf); err != nil {
 			f.Fatal(err)
 		}
 		file := buf.Bytes()
@@ -92,7 +50,7 @@ func FuzzBVIX3Read(f *testing.F) {
 		f.Fatal(err)
 	}
 	var autoBuf bytes.Buffer
-	if _, err := autoIdx.WriteBVIX3(&autoBuf); err != nil {
+	if _, err := autoIdx.WriteTo(&autoBuf); err != nil {
 		f.Fatal(err)
 	}
 	autoFile := autoBuf.Bytes()
@@ -138,13 +96,12 @@ func FuzzBVIX3Read(f *testing.F) {
 	f.Add([]byte("BVIX3"))
 	f.Add(append([]byte("BVIX3\x01\x00\x00"), make([]byte, bvix3DataStart)...))
 	f.Add(append([]byte("BVIX3\x04\x00\x00"), make([]byte, bvix3DataStart)...))
+	f.Add([]byte("BVIX1"))
+	f.Add(append([]byte("BVIX1"), bytes.Repeat([]byte{0xFF}, 8)...)) // header claiming 4G docs, 4G terms
+	f.Add([]byte("BVIX2"))
+	f.Add(append([]byte("BVIX2\x01"), 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if idx, err := Read(bytes.NewReader(data)); err == nil {
-			if idx.Docs() < 0 || idx.Terms() < 0 || idx.SizeBytes() < 0 {
-				t.Fatalf("accepted index with nonsense shape: docs=%d terms=%d size=%d",
-					idx.Docs(), idx.Terms(), idx.SizeBytes())
-			}
-		}
+		checkRead(t, data)
 		lazy, err := openBVIX3Lazy(data, nil)
 		if err != nil {
 			return
@@ -167,6 +124,47 @@ func FuzzBVIX3Read(f *testing.F) {
 			t.Fatalf("lazy index with nonsense shape: terms=%d size=%d", lazy.Terms(), lazy.SizeBytes())
 		}
 	})
+}
+
+// FuzzIndexRead is the seed corpus of the stream reader: the WriteTo
+// output of one codec per family, the empty input, and the retired
+// BVIX1 and BVIX2 magics, which Read must refuse before any of their
+// header is read. Its body is FuzzBVIX3Read's Read half; fuzz with
+// FuzzBVIX3Read, which also covers the lazy opener.
+func FuzzIndexRead(f *testing.F) {
+	for _, codecName := range []string{"Roaring", "VB", "PEF", "WAH"} {
+		idx, err := buildFuzzIndex(codecName)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{})
+	f.Add([]byte("BVIX1"))
+	f.Add(append([]byte("BVIX1"), bytes.Repeat([]byte{0xFF}, 8)...)) // header claiming 4G docs, 4G terms
+	f.Add([]byte("BVIX2"))
+	f.Add(append([]byte("BVIX2\x01"), 0, 0, 0, 0))
+	f.Fuzz(checkRead)
+}
+
+// checkRead feeds data through Read. Read must never panic; an
+// accepted index must answer its accessors and a query.
+func checkRead(t *testing.T, data []byte) {
+	idx, err := Read(bytes.NewReader(data))
+	if err != nil {
+		return // rejected: fine, as long as it didn't panic
+	}
+	if idx.Docs() < 0 || idx.Terms() < 0 || idx.SizeBytes() < 0 {
+		t.Fatalf("accepted index with nonsense shape: docs=%d terms=%d size=%d",
+			idx.Docs(), idx.Terms(), idx.SizeBytes())
+	}
+	if _, err := idx.Conjunctive("compressed", "lists"); err != nil {
+		t.Logf("conjunctive on accepted index: %v", err)
+	}
 }
 
 // buildFuzzIndex builds a small index without *testing.T plumbing so

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -80,8 +79,8 @@ func TestAutoBuildShardIdentity(t *testing.T) {
 }
 
 // TestAutoBuildQueryEquivalence: the hybrid index must answer exactly
-// like a mono-codec index over the same corpus — in memory, through a
-// BVIX3 reopen, and through a BVIX2 reopen.
+// like a mono-codec index over the same corpus — in memory and through
+// a BVIX3 reopen.
 func TestAutoBuildQueryEquivalence(t *testing.T) {
 	auto := buildAutoIndex(t, 1)
 	codec, err := codecs.ByName("Roaring")
@@ -99,15 +98,6 @@ func TestAutoBuildQueryEquivalence(t *testing.T) {
 
 	lazy := openLazy(t, auto)
 	defer lazy.Close()
-	p2 := filepath.Join(t.TempDir(), "idx.bvix2")
-	if err := auto.WriteFile(p2, FormatBVIX2); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := OpenFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
 
 	queries := [][]string{
 		{"the", "data"}, {"the", "zz"}, {"data", "w0001"},
@@ -118,7 +108,7 @@ func TestAutoBuildQueryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, idx := range map[string]*Index{"auto": auto, "bvix3": lazy, "bvix2": v2} {
+		for name, idx := range map[string]*Index{"auto": auto, "bvix3": lazy} {
 			got, err := idx.Conjunctive(q...)
 			if err != nil {
 				t.Fatalf("%s: AND%v: %v", name, q, err)

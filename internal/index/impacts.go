@@ -479,7 +479,7 @@ func (c *blockImpactCursor) BlocksDecoded() int { return c.decoded }
 // topkLists assembles the per-term impact lists for a ranked query.
 // Terms carrying stored impact annotations over a block-frame posting
 // get lazy block cursors; everything else (bitmap-compressed lists,
-// impact-less indexes, legacy formats) falls back to decoded postings
+// impact-less indexes and v3 files) falls back to decoded postings
 // — cache-served when hot — with impacts taken from the stored
 // annotations or derived on the fly from the frequency payload.
 func (idx *Index) topkLists(terms []string) []ops.ImpactList {

@@ -189,8 +189,8 @@ func TestBVIX3ImpactsConverter(t *testing.T) {
 	}
 }
 
-// TestTopKImpactLessFallback: old impact-less indexes (in-memory, BVIX2,
-// BVIX3 v3) still answer ranked queries — impacts derive on the fly from
+// TestTopKImpactLessFallback: old impact-less indexes (in-memory, BVIX3
+// v3) still answer ranked queries — impacts derive on the fly from
 // the frequency payload, and absent frequencies degrade to document
 // counting.
 func TestTopKImpactLessFallback(t *testing.T) {
@@ -200,13 +200,9 @@ func TestTopKImpactLessFallback(t *testing.T) {
 		t.Fatalf("in-memory TopK = %v, %v", want, err)
 	}
 
-	v2, err := Read(bytes.NewReader(serialize(t, idx)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	v3 := openLazy(t, idx)
 	defer v3.Close()
-	for name, view := range map[string]*Index{"bvix2": v2, "bvix3": v3} {
+	for name, view := range map[string]*Index{"bvix3": v3} {
 		got, err := view.TopK(3, "compressed", "lists")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

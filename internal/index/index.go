@@ -50,10 +50,6 @@ func NewAutoBuilder() *Builder {
 // the final merged list.
 type CodecSelector func(list []uint32, docs int) core.Codec
 
-// SetSelector installs a per-list codec selector, overriding the fixed
-// builder codec.
-func (b *Builder) SetSelector(sel CodecSelector) { b.selector = sel }
-
 // SetShards fixes the ingestion shard count for Build. n <= 0 (the
 // default) picks GOMAXPROCS. Explicit values are honored as given so
 // determinism tests can compare arbitrary shardings; the auto default
@@ -186,7 +182,7 @@ func (b *Builder) Build() (*Index, error) {
 		return nil, buildErr
 	}
 
-	idx := &Index{codec: b.codec, terms: make(map[string]termEntry, len(sorted)), docs: len(b.texts)}
+	idx := &Index{terms: make(map[string]termEntry, len(sorted)), docs: len(b.texts)}
 	for i, t := range sorted {
 		idx.terms[t] = entries[i]
 	}
@@ -223,7 +219,6 @@ type termEntry struct {
 // postings in the mapped region and materializes them lazily through
 // the lazy backend on first access.
 type Index struct {
-	codec core.Codec
 	terms map[string]termEntry
 	docs  int
 

@@ -731,7 +731,7 @@ func (l *Live) Export() (*Index, error) {
 	if ranges.total() == 0 {
 		return nil, errors.New("index: export: every document is deleted; nothing to export")
 	}
-	return &Index{codec: l.opts.Codec, terms: terms, docs: ranges.total()}, nil
+	return &Index{terms: terms, docs: ranges.total()}, nil
 }
 
 // mergeSealed merges the inputs' postings over the surviving documents,

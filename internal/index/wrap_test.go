@@ -34,40 +34,35 @@ func TestOpenFileWrapsChecksumBVIX3(t *testing.T) {
 	}
 }
 
-func TestOpenFileWrapsChecksumBVIX2(t *testing.T) {
-	file := serialize(t, buildTestIndex(t, "Roaring"))
-	file[len(file)/2] ^= 0x01 // body byte; trailer CRC now lies
-	p := writeTemp3(t, file)
-
-	_, err := OpenFile(p)
-	if !errors.Is(err, core.ErrChecksum) {
-		t.Fatalf("OpenFile on corrupt BVIX2 = %v, want errors.Is ErrChecksum", err)
-	}
-	if _, rerr := Read(bytes.NewReader(file)); !errors.Is(rerr, core.ErrChecksum) {
-		t.Fatalf("Read on corrupt BVIX2 = %v, want errors.Is ErrChecksum", rerr)
-	}
-	if core.IsTransient(err) {
-		t.Fatal("checksum failure classified transient")
-	}
-}
-
-// BVIX1 (the unversioned, unchecksummed seed format) is retired: both
-// open paths refuse its magic with ErrVersion, naming the format, so a
-// retry loop gives up instead of waiting for the file to heal.
+// The retired formats — BVIX1 (the unversioned, unchecksummed seed
+// format) and BVIX2 (the checksummed streaming format) — are refused by
+// every open path with ErrVersion, naming the format, so a retry loop
+// gives up instead of waiting for the file to heal.
 func TestOpenFileWrapsTruncationBVIX1(t *testing.T) {
-	file := append([]byte("BVIX1"), make([]byte, 8)...) // magic + an empty header
-	p := writeTemp3(t, file)
+	for _, tc := range []struct {
+		magic string
+		file  []byte
+	}{
+		{"BVIX1", append([]byte("BVIX1"), make([]byte, 8)...)},        // magic + an empty header
+		{"BVIX2", append([]byte("BVIX2\x01"), make([]byte, 8+4)...)},  // version, empty header, trailer
+		{"BVIX2", append([]byte("BVIX2\x01"), make([]byte, 4096)...)}, // longer than a BVIX3 header
+	} {
+		p := writeTemp3(t, tc.file)
 
-	_, err := OpenFile(p)
-	if !errors.Is(err, core.ErrVersion) || !strings.Contains(err.Error(), "BVIX1") {
-		t.Fatalf("OpenFile on BVIX1 = %v, want errors.Is ErrVersion naming BVIX1", err)
-	}
-	if _, rerr := Read(bytes.NewReader(file)); !errors.Is(rerr, core.ErrVersion) {
-		t.Fatalf("Read on BVIX1 = %v, want errors.Is ErrVersion", rerr)
-	}
-	if !core.IsPermanentFormat(err) || core.IsTransient(err) {
-		t.Fatalf("BVIX1 misclassified: permanent=%v transient=%v",
-			core.IsPermanentFormat(err), core.IsTransient(err))
+		_, err := OpenFile(p)
+		if !errors.Is(err, core.ErrVersion) || !strings.Contains(err.Error(), tc.magic) {
+			t.Fatalf("OpenFile on %s = %v, want errors.Is ErrVersion naming %s", tc.magic, err, tc.magic)
+		}
+		if _, rerr := Read(bytes.NewReader(tc.file)); !errors.Is(rerr, core.ErrVersion) || !strings.Contains(rerr.Error(), tc.magic) {
+			t.Fatalf("Read on %s = %v, want errors.Is ErrVersion naming %s", tc.magic, rerr, tc.magic)
+		}
+		if _, derr := OpenFileDegraded(p); !errors.Is(derr, core.ErrVersion) || !strings.Contains(derr.Error(), tc.magic) {
+			t.Fatalf("OpenFileDegraded on %s = %v, want errors.Is ErrVersion naming %s", tc.magic, derr, tc.magic)
+		}
+		if !core.IsPermanentFormat(err) || core.IsTransient(err) {
+			t.Fatalf("%s misclassified: permanent=%v transient=%v",
+				tc.magic, core.IsPermanentFormat(err), core.IsTransient(err))
+		}
 	}
 }
 

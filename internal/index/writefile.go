@@ -9,9 +9,9 @@ import (
 	"repro/internal/faultio"
 )
 
-// Crash-safe index publication. WriteTo/WriteBVIX3 stream bytes to a
-// writer and leave durability to the caller; WriteFile is the caller
-// that gets it right: write to a temp file in the destination
+// Crash-safe index publication. WriteTo/WriteBVIX3Impacts stream
+// bytes to a writer and leave durability to the caller; WriteFile is
+// the caller that gets it right: write to a temp file in the destination
 // directory, fsync the file, atomically rename over the destination,
 // then fsync the parent directory so the rename itself is durable. A
 // crash at any point leaves the destination either untouched (the old
@@ -29,21 +29,17 @@ const (
 	// top-k annotations (quantized impacts + block-max frame) alongside
 	// the postings, enabling Block-Max pruning straight off the mapping.
 	FormatBVIX3Impacts Format = "bvix3+impacts"
-	// FormatBVIX2 is the versioned checksummed streaming format.
-	FormatBVIX2 Format = "bvix2"
 )
 
 // writeFunc resolves the serializer for a format.
 func (idx *Index) writeFunc(format Format) (func(io.Writer) (int64, error), error) {
 	switch format {
 	case FormatBVIX3:
-		return idx.WriteBVIX3, nil
+		return idx.WriteTo, nil
 	case FormatBVIX3Impacts:
 		return idx.WriteBVIX3Impacts, nil
-	case FormatBVIX2:
-		return idx.WriteTo, nil
 	default:
-		return nil, fmt.Errorf("index: unknown format %q (bvix3 | bvix3+impacts | bvix2)", format)
+		return nil, fmt.Errorf("index: unknown format %q (bvix3 | bvix3+impacts)", format)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // FuzzVpackRoundtrip drives pack -> unpack roundtrips across every
 // width through both layouts, cross-checking the specialized kernels
 // against the generic references on arbitrary inputs. Run in CI as a
-// fuzz smoke alongside FuzzIndexRead.
+// fuzz smoke alongside FuzzBVIX3Read.
 func FuzzVpackRoundtrip(f *testing.F) {
 	// Seed the corner widths explicitly: 0 (no payload), 1 (densest
 	// word reuse), 31 (every value straddles words), 32 (mask-free).

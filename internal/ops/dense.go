@@ -112,7 +112,7 @@ func (a *accumulator) bound(p core.Posting) (decoded []uint32, lo, hi uint32) {
 		return nil, 0, 0
 	}
 	switch q := p.(type) {
-	case core.WordOrer:
+	case core.BucketProber:
 		return nil, uint32(q.BucketKey(0)) << 16, uint32(q.BucketKey(q.NumBuckets()-1))<<16 | 0xffff
 	case core.BlockDecoder:
 		if q.BlockSpan() <= len(a.block) {
@@ -126,14 +126,14 @@ func (a *accumulator) bound(p core.Posting) (decoded []uint32, lo, hi uint32) {
 
 // orInto ORs one operand into words, whose bit 0 stands for value
 // base: from its decode when bound made one, else word-wise through
-// core.WordOrer, else one block at a time through core.BlockDecoder.
+// core.BucketProber, else one block at a time through core.BlockDecoder.
 func (a *accumulator) orInto(words []uint64, base uint32, p core.Posting, decoded []uint32) {
 	if decoded != nil {
 		setBits(words, base, decoded)
 		return
 	}
 	switch q := p.(type) {
-	case core.WordOrer:
+	case core.BucketProber:
 		q.OrWordsInto(words, base)
 	case core.BlockDecoder:
 		for b := range q.NumBlocks() {

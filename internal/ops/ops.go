@@ -270,7 +270,7 @@ func Union(postings []core.Posting) ([]uint32, error) {
 		return postings[0].Decompress(), nil
 	}
 	if _, native := postings[0].(core.Unioner); native {
-		if _, words := postings[0].(core.WordOrer); !words {
+		if _, words := postings[0].(core.BucketProber); !words {
 			return unionSparse(postings, nil)
 		}
 	}

@@ -9,7 +9,8 @@
 //     VUnpackBase) vs the generic accumulator references (UnpackRef,
 //     VUnpackRef) across every bit width 0..32;
 //   - the BVIX3 mmap read path vs the in-memory index it was written
-//     from, and the BVIX2 stream roundtrip, on and/or/top-k queries;
+//     from, and the stream roundtrip (WriteTo/Read), on and/or/top-k
+//     queries;
 //   - degraded-mode open (OpenFileDegraded) of a tail-corrupted file
 //     vs the pristine index: every term must serve either its exact
 //     pristine postings or nothing (quarantined) — never wrong data;
@@ -241,7 +242,7 @@ func queryDiff(rng *rand.Rand, a, b *index.Index, vocab []string) error {
 }
 
 // CheckIndexFile compares the in-memory index against its BVIX3 mmap
-// read path and its BVIX2 stream roundtrip.
+// read path and its stream roundtrip (WriteTo/Read).
 func CheckIndexFile(seed int64, dir string) error {
 	mem, vocab, codecName, err := oracleCorpus(seed)
 	if err != nil {
@@ -263,14 +264,14 @@ func CheckIndexFile(seed int64, dir string) error {
 
 	var buf bytes.Buffer
 	if _, err := mem.WriteTo(&buf); err != nil {
-		return fmt.Errorf("%s: WriteTo bvix2: %w", codecName, err)
+		return fmt.Errorf("%s: WriteTo stream: %w", codecName, err)
 	}
 	streamed, err := index.Read(&buf)
 	if err != nil {
-		return fmt.Errorf("%s: Read bvix2: %w", codecName, err)
+		return fmt.Errorf("%s: Read stream: %w", codecName, err)
 	}
 	if err := queryDiff(rng, mem, streamed, vocab); err != nil {
-		return fmt.Errorf("%s: bvix2 vs in-memory: %w", codecName, err)
+		return fmt.Errorf("%s: stream vs in-memory: %w", codecName, err)
 	}
 	return nil
 }

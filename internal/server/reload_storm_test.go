@@ -23,7 +23,7 @@ func writeBVIX3File(t testing.TB, dir string, n int, idx *index.Index) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.WriteBVIX3(f); err != nil {
+	if _, err := idx.WriteTo(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -424,7 +424,7 @@ func TestTwoConsecutiveReloadsInvalidateCache(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := buildIndex(t, docs...).WriteBVIX3(f); err != nil {
+			if _, err := buildIndex(t, docs...).WriteTo(f); err != nil {
 				return nil, err
 			}
 			if err := f.Close(); err != nil {
