@@ -135,8 +135,10 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 // reload never changes the index mid-query and never unmaps bytes a
 // query is still reading. A partial answer from a router is still 200:
 // a dead shard is a documented subset ("shard 3 of 8 degraded, results
-// partial"), not a failed query. The answer is encoded into one buffer
-// sized from it and written with its Content-Length.
+// partial"), not a failed query. The answer is encoded once, by
+// AppendJSON into one buffer sized from it, and handed to the
+// connection as it is, with its Content-Length: the timeout middleware
+// passes writes through rather than copying them.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, err := s.parseSearch(r.URL.Query())
 	if err != nil {

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -108,79 +108,118 @@ func (s *Server) limitConcurrency(next http.Handler) http.Handler {
 }
 
 // withRequestTimeout bounds each request to RequestTimeout via
-// context.WithTimeout. The handler runs against a buffered response; if
-// it beats the deadline the buffer is flushed to the client, otherwise
-// the client gets 504 and the late response is discarded. Handler
-// panics propagate so recoverPanics sees them.
+// context.WithTimeout. The handler writes straight through to the
+// client: its first WriteHeader or Write claims the response, and it
+// may claim only while the context is not done. So a response started
+// within the budget completes, however long it takes, and one not
+// started by the deadline — or refused at it, as a search that returns
+// ctx.Err() is — gets 504; the handler's later writes then fail with
+// http.ErrHandlerTimeout and never reach the client. Handler panics
+// propagate so recoverPanics sees them.
 func (s *Server) withRequestTimeout(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		r = r.WithContext(ctx)
+		tw := &timeoutWriter{w: w, ctx: ctx, header: http.Header{}}
 		done := make(chan struct{})
 		panicc := make(chan any, 1)
-		buf := &bufferedResponse{header: http.Header{}, status: http.StatusOK}
 		go func() {
 			defer func() {
 				if p := recover(); p != nil {
 					panicc <- p
 				}
 			}()
-			next.ServeHTTP(buf, r)
+			next.ServeHTTP(tw, r)
 			close(done)
 		}()
 		select {
 		case <-done:
-			buf.flushTo(w)
+			// A handler that wrote nothing answers 200 with its
+			// headers, unless the deadline passed first.
+			if tw.claim(http.StatusOK) == nil {
+				return
+			}
 		case p := <-panicc:
 			panic(p)
 		case <-ctx.Done():
-			writeJSON(w, http.StatusGatewayTimeout, map[string]string{
-				"error": fmt.Sprintf("request exceeded %s budget", s.cfg.RequestTimeout),
-			})
+			if tw.started() {
+				// The handler owns the response; let it finish.
+				select {
+				case <-done:
+				case p := <-panicc:
+					panic(p)
+				}
+				return
+			}
 		}
+		writeJSON(w, http.StatusGatewayTimeout, map[string]string{
+			"error": fmt.Sprintf("request exceeded %s budget", s.cfg.RequestTimeout),
+		})
 	})
 }
 
-// bufferedResponse is the in-memory ResponseWriter used by the timeout
-// middleware. It is owned by exactly one goroutine at a time — the
-// handler goroutine while running, then (only on the non-timeout path,
-// after a channel synchronization) the flusher.
-type bufferedResponse struct {
+// timeoutWriter is the handler's ResponseWriter under
+// withRequestTimeout. Whichever of the handler and the middleware
+// claims the response under mu owns w: the handler by starting it
+// before ctx is done, the middleware by finding it unstarted once ctx
+// is. The handler's headers go to a map of its own until its claim
+// copies them, so the middleware's 504 never sees them.
+type timeoutWriter struct {
+	w      http.ResponseWriter
+	ctx    context.Context
 	header http.Header
-	status int
-	wrote  bool
-	body   bytes.Buffer
+
+	mu      sync.Mutex
+	claimed bool // the handler started the response
 }
 
-func (b *bufferedResponse) Header() http.Header { return b.header }
+func (tw *timeoutWriter) Header() http.Header { return tw.header }
 
-func (b *bufferedResponse) WriteHeader(code int) {
-	if !b.wrote {
-		b.status, b.wrote = code, true
+func (tw *timeoutWriter) WriteHeader(code int) {
+	// A refused claim leaves the response to the middleware's 504.
+	_ = tw.claim(code)
+}
+
+func (tw *timeoutWriter) Write(p []byte) (int, error) {
+	if err := tw.claim(http.StatusOK); err != nil {
+		return 0, err
 	}
+	return tw.w.Write(p)
 }
 
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if !b.wrote {
-		b.status, b.wrote = http.StatusOK, true
+// claim starts the response with code on the handler's behalf, once,
+// copying the handler's headers. It fails with http.ErrHandlerTimeout
+// once ctx is done and the response was not yet started.
+func (tw *timeoutWriter) claim(code int) error {
+	tw.mu.Lock()
+	if tw.claimed {
+		tw.mu.Unlock()
+		return nil
 	}
-	return b.body.Write(p)
-}
-
-func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
-	for k, vs := range b.header {
+	if tw.ctx.Err() != nil {
+		tw.mu.Unlock()
+		return http.ErrHandlerTimeout
+	}
+	tw.claimed = true
+	tw.mu.Unlock()
+	// Once claimed, w is the handler's alone: the middleware touches it
+	// again only after the handler returns.
+	for k, vs := range tw.header {
 		for _, v := range vs {
-			w.Header().Add(k, v)
+			tw.w.Header().Add(k, v)
 		}
 	}
-	w.WriteHeader(b.status)
-	if b.body.Len() > 0 {
-		if _, err := w.Write(b.body.Bytes()); err != nil {
-			// The client went away; nothing useful to do.
-			_ = err
-		}
-	}
+	tw.w.WriteHeader(code)
+	return nil
+}
+
+// started reports whether the handler claimed the response. Called
+// once ctx is done, a false answer is final: every later claim fails.
+func (tw *timeoutWriter) started() bool {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	return tw.claimed
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"log"
 	"net"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/index"
 )
 
 // TestMiddlewareChain is the table-driven hardening check from the
@@ -19,11 +22,14 @@ import (
 // handler that blows the request budget yields a timeout status, and a
 // well-behaved handler passes through untouched.
 func TestMiddlewareChain(t *testing.T) {
+	answered := make(chan struct{})
+	lateErr := make(chan error, 1)
 	cases := []struct {
 		name       string
 		handler    http.HandlerFunc
 		wantStatus int
 		wantBody   string
+		check      func(t *testing.T, rec *httptest.ResponseRecorder) // runs once the chain returned
 	}{
 		{
 			name:       "panic becomes 500",
@@ -50,6 +56,39 @@ func TestMiddlewareChain(t *testing.T) {
 			wantStatus: http.StatusTeapot,
 			wantBody:   "ok",
 		},
+		{
+			name: "response started before the deadline completes after it",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusAccepted)
+				w.Write([]byte("started, "))
+				<-r.Context().Done()
+				if _, err := w.Write([]byte("finished")); err != nil {
+					t.Errorf("write after the deadline of a started response: %v", err)
+				}
+			},
+			wantStatus: http.StatusAccepted,
+			wantBody:   "started, finished",
+		},
+		{
+			name: "write after the 504 is refused",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				<-r.Context().Done()
+				<-answered
+				_, err := w.Write([]byte("too late"))
+				lateErr <- err
+			},
+			wantStatus: http.StatusGatewayTimeout,
+			wantBody:   "budget",
+			check: func(t *testing.T, rec *httptest.ResponseRecorder) {
+				close(answered)
+				if err := <-lateErr; !errors.Is(err, http.ErrHandlerTimeout) {
+					t.Fatalf("late Write returned %v, want http.ErrHandlerTimeout", err)
+				}
+				if strings.Contains(rec.Body.String(), "too late") {
+					t.Fatalf("late bytes reached the client: %q", rec.Body.String())
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,8 +112,47 @@ func TestMiddlewareChain(t *testing.T) {
 			if tc.name == "fast handler passes through" && rec.Header().Get("X-From-Handler") != "yes" {
 				t.Fatal("handler headers were not flushed through the timeout buffer")
 			}
+			if tc.check != nil {
+				tc.check(t, rec)
+			}
 		})
 	}
+}
+
+// deadlineBackend is a search that runs until its context is done and
+// then reports why, as a shard fan-out cut off at the budget does.
+type deadlineBackend struct{}
+
+func (deadlineBackend) Search(ctx context.Context, _ index.Request) (index.Answer, error) {
+	<-ctx.Done()
+	return index.Answer{}, ctx.Err()
+}
+func (deadlineBackend) Gauges(map[string]interface{})              {}
+func (deadlineBackend) Healthz(context.Context) (int, interface{}) { return http.StatusOK, nil }
+
+// TestSearchDeadlineAnswers504: a search that fails with ctx.Err() at
+// the deadline tries to answer 500 at the very moment the middleware
+// answers 504. The 504 must win every time: a response may be started
+// only while the request's context is not done.
+func TestSearchDeadlineAnswers504(t *testing.T) {
+	const requests, workers = 500, 4
+	h := NewFront(deadlineBackend{}, Config{RequestTimeout: 5 * time.Millisecond, Logger: quiet}).Handler()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests/workers; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q=a&mode=or", nil))
+				if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "request exceeded 5ms budget") {
+					t.Errorf("status %d body %q, want 504 with the budget message", rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestLoadShedding checks the semaphore gate: with N slots occupied,

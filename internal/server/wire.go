@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -22,12 +24,17 @@ import (
 
 // AppendJSON appends the bytes json.NewEncoder(w).Encode(r) writes —
 // same member order, same omitempty rules, same trailing newline — to
-// dst and returns the extended slice. It grows dst once, by a bound on
-// the encoded size of the answer's arrays.
+// dst and returns the extended slice. It grows dst once, by the size of
+// the answer when its docids are sorted: every docid then has at most
+// as many digits as the last. Docids go through appendDocids, at gap
+// speed; ranked rows (at most k) through strconv.
 func (r *SearchResponse) AppendJSON(dst []byte) []byte {
-	// A docid is at most 10 digits plus a comma; a ranked row at most
+	// A ranked row is at most
 	// `{"Doc":4294967295,"Score":-9223372036854775808},`, 48 bytes.
-	n := 128 + 11*len(r.Docs) + 48*len(r.Ranked)
+	n := 128 + 48*len(r.Ranked)
+	if len(r.Docs) > 0 {
+		n += len(r.Docs)*(1+decimalDigits(r.Docs[len(r.Docs)-1])) + docidStore
+	}
 	for _, t := range r.Query {
 		n += len(t) + 3
 	}
@@ -39,11 +46,7 @@ func (r *SearchResponse) AppendJSON(dst []byte) []byte {
 	dst = appendMarshal(dst, r.Mode)
 	if len(r.Docs) > 0 {
 		dst = append(dst, `,"docs":[`...)
-		dst = strconv.AppendUint(dst, uint64(r.Docs[0]), 10)
-		for _, d := range r.Docs[1:] {
-			dst = append(dst, ',')
-			dst = strconv.AppendUint(dst, uint64(d), 10)
-		}
+		dst = appendDocids(dst, r.Docs)
 		dst = append(dst, ']')
 	}
 	if len(r.Ranked) > 0 {
@@ -78,6 +81,104 @@ func (r *SearchResponse) AppendJSON(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(r.Shards), 10)
 	}
 	return append(dst, "}\n"...)
+}
+
+// docidStore is the width of the one store that writes a docid's
+// text: a comma and up to 10 digits, as two 8-byte words.
+const docidStore = 16
+
+// appendDocids appends docs in decimal, comma-separated, as
+// encoding/json writes a []uint32, handling a sorted list by its gaps.
+// It keeps the last rendered docid's ",digits" text in two registers.
+// Each docid that follows in the same hundred — a gap that carries at
+// most from the units into the tens, which is nearly every step of a
+// dense answer — is that text with its last two digits replaced: one
+// docidStore-byte store of the registers and a 2-byte store of the
+// digits from docidPairs. Any other docid (a carry into the hundreds,
+// a step down out of the hundred, one below 100) is rendered afresh
+// and starts a new run. Each store's tail is overwritten by the next,
+// so the loop makes room for the store itself and is correct whatever
+// capacity dst arrives with.
+func appendDocids(dst []byte, docs []uint32) []byte {
+	dst = strconv.AppendUint(dst, uint64(docs[0]), 10)
+	pos, out := len(dst), dst[:cap(dst)]
+	lo, hi, n := docidText(docs[0])
+	for i := 1; ; i++ {
+		if d := docs[i-1]; d >= 100 {
+			// In 64 bits, a docid below the block wraps far above it.
+			block := uint64(d - d%100)
+			for ; i < len(docs) && uint64(docs[i])-block < 100; i++ {
+				if len(out)-pos < docidStore {
+					out = growDocids(out, pos, len(docs)-i)
+				}
+				binary.LittleEndian.PutUint64(out[pos:], lo)
+				binary.LittleEndian.PutUint64(out[pos+8:], hi)
+				*(*[2]byte)(out[pos+n-2:]) = docidPairs[uint64(docs[i])-block]
+				pos += n
+			}
+		}
+		if i == len(docs) {
+			return out[:pos]
+		}
+		lo, hi, n = docidText(docs[i])
+		if len(out)-pos < docidStore {
+			out = growDocids(out, pos, len(docs)-i)
+		}
+		binary.LittleEndian.PutUint64(out[pos:], lo)
+		binary.LittleEndian.PutUint64(out[pos+8:], hi)
+		pos += n
+	}
+}
+
+// growDocids is appendDocids's slow path, for a size hint that was
+// short (the docids are not sorted): out[:pos] grown by room for rest
+// more docids at the widest, resliced to its capacity.
+func growDocids(out []byte, pos, rest int) []byte {
+	out = slices.Grow(out[:pos], docidStore+11*rest)
+	return out[:cap(out)]
+}
+
+// docidText renders ",v" and returns it as appendDocids holds it: the
+// text's first 16 bytes as two little-endian words, and its length.
+func docidText(v uint32) (lo, hi uint64, n int) {
+	var t [docidStore]byte
+	t[0] = ','
+	n = 1 + decimalDigits(v)
+	i := n - 2
+	for ; v >= 100; i -= 2 {
+		q := v / 100
+		*(*[2]byte)(t[i:]) = docidPairs[v-100*q]
+		v = q
+	}
+	if v >= 10 {
+		*(*[2]byte)(t[i:]) = docidPairs[v]
+	} else {
+		t[i+1] = byte('0' + v)
+	}
+	return binary.LittleEndian.Uint64(t[:8]), binary.LittleEndian.Uint64(t[8:]), n
+}
+
+// docidPairs holds the two-digit text of 0 to 99, "00" to "99".
+var docidPairs = func() (p [100][2]byte) {
+	for r := range p {
+		p[r] = [2]byte{byte('0' + r/10), byte('0' + r%10)}
+	}
+	return p
+}()
+
+// pow10 holds 10^0 to 10^9.
+var pow10 = [...]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalDigits is the number of decimal digits in v: the estimate
+// from its bit length, about log10(2) per bit, is exact or one short.
+// Setting the low bit counts 0 as one digit and moves no other count.
+func decimalDigits(v uint32) int {
+	v |= 1
+	n := bits.Len32(v) * 1233 >> 12
+	if v >= pow10[n] {
+		n++
+	}
+	return n
 }
 
 // appendMarshal appends json.Marshal(v). The error is dropped because v

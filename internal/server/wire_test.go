@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -32,6 +33,11 @@ func wireTable() []server.SearchResponse {
 		{Query: []string{`q"uote`, `back\slash`, "<html>&amp;", "line\u2028para\u2029sep", "bad\xffutf8\xc3", "ctl\x01\t\n"}, Mode: "and"},
 		{Query: nil, Mode: ""},
 		{Query: []string{}, Mode: "and", Matches: -1},
+		{Query: []string{"pow10"}, Mode: "or", Docs: powerOfTenRuns(), Matches: -2},
+		{Query: []string{"max"}, Mode: "or", Docs: []uint32{math.MaxUint32 - 2, math.MaxUint32 - 1, math.MaxUint32}, Matches: 3},
+		{Query: []string{"down"}, Mode: "or", Docs: []uint32{math.MaxUint32 - 2, 2, 4e9, 1e9, 999999999, 123456, 123455, 100, 99, 42, 9, 0}, Matches: 12},
+		{Query: []string{"a<b"}, Mode: "and", Docs: []uint32{3}, Matches: 1},
+		{Query: []string{"dense"}, Mode: "or", Docs: denseDocs(215000, 300000), Matches: 215000},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {
@@ -60,6 +66,21 @@ func wireTable() []server.SearchResponse {
 		table = append(table, r)
 	}
 	return table
+}
+
+// powerOfTenRuns is a sorted list crossing every power of ten up to
+// 10^9 by runs of small gaps: each run starts 12 below it and steps by
+// 1, 2, 3, so it also ends in a new hundred.
+func powerOfTenRuns() []uint32 {
+	var docs []uint32
+	for p := uint32(10); ; p *= 10 {
+		for d, g := p-min(p, 12), uint32(1); d < p+12; d, g = d+g, g%3+1 {
+			docs = append(docs, d)
+		}
+		if p == 1e9 {
+			return docs
+		}
+	}
 }
 
 // encodeStdlib is what the handler wrote before AppendJSON.
@@ -212,6 +233,98 @@ func FuzzParseSearchResponse(f *testing.F) {
 	})
 }
 
+// denseDocs is a served C300 OR's shape: n sorted docids drawn from
+// [0, domain), almost every gap below 10.
+func denseDocs(n, domain int) []uint32 {
+	rng := rand.New(rand.NewSource(7))
+	docs := make([]uint32, 0, n)
+	for d := 0; d < domain && len(docs) < n; d++ {
+		if rng.Intn(domain-d) < n-len(docs) {
+			docs = append(docs, uint32(d))
+		}
+	}
+	return docs
+}
+
+// BenchmarkSearchWire times the /search body both ways. "encode" is a
+// sparse answer (every gap at least 280, so every docid is rendered
+// afresh); "encode-dense" is the mean served C300 OR, 215 000 docids
+// from 300 000, where nearly every docid is its predecessor's text
+// plus a carry.
+// fuzzEdges are the docids where the decimal text changes width, and
+// the top of the range.
+var fuzzEdges = []uint32{0, 9, 10, 99, 100, 999, 1e3, 9999, 1e4, 99999, 1e5, 999999, 1e6,
+	9999999, 1e7, 99999999, 1e8, 999999999, 1e9, math.MaxUint32 - 1, math.MaxUint32}
+
+// fuzzAnswer decodes a /search answer from data. data[0] picks the
+// docid list's shape (low two bits) and up to three ranked rows (next
+// two bits), 5 bytes each from the front of the rest; the other bytes
+// are docids. A sorted-dense list starts at an edge less a few and
+// steps by gaps below 10 (a 0xff byte jumps to another edge); a
+// sorted-sparse one steps by a byte shifted by up to 24; an arbitrary
+// one is edges plus or minus a little, unsorted and with duplicates.
+// Sums wrap, so even a "sorted" list may step down.
+func fuzzAnswer(data []byte) server.SearchResponse {
+	r := server.SearchResponse{Query: []string{"fuzz"}, Mode: "or"}
+	if len(data) == 0 {
+		return r
+	}
+	shape := data[0]
+	data = data[1:]
+	for n := shape >> 2 & 3; n > 0 && len(data) >= 5; n-- {
+		r.Ranked = append(r.Ranked, index.Result{Doc: binary.LittleEndian.Uint32(data), Score: int(int8(data[4])) << (data[4] & 63)})
+		data = data[5:]
+	}
+	edge := func(b byte) uint32 { return fuzzEdges[int(b)%len(fuzzEdges)] }
+	var d uint32
+	if len(data) > 0 {
+		d = edge(data[0]) - uint32(data[0]>>5)
+		data = data[1:]
+	}
+	for i, b := range data {
+		switch shape & 3 {
+		case 0:
+			if b == 0xff {
+				d = edge(byte(i))
+			} else {
+				d += uint32(b % 10)
+			}
+		case 1:
+			d += uint32(b) << (i % 25)
+		default:
+			d = edge(b) + uint32(int32(int8(b))>>3)
+		}
+		r.Docs = append(r.Docs, d)
+	}
+	r.Matches = len(r.Docs) + len(r.Ranked)
+	return r
+}
+
+// FuzzAppendJSON is a differential fuzz of AppendJSON against
+// encoding/json over docid lists of every shape — dense and sorted,
+// sparse, unsorted, duplicated, at the edges where the text changes
+// width — and a few ranked rows: byte for byte, whatever dst it
+// appends to.
+func FuzzAppendJSON(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2})
+	f.Add([]byte{0, 18, 9, 9, 9, 0xff, 1, 1, 1, 1, 9, 9})
+	f.Add([]byte{0, 19, 0, 0, 1})
+	f.Add([]byte{1, 0, 0xff, 0x80, 7, 3, 200})
+	f.Add([]byte{2, 20, 19, 0, 1, 0x80, 0x7f, 20, 20, 3})
+	f.Add([]byte{14, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0, 0, 0x7f, 1, 2, 3, 4, 0x41, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzAnswer(data)
+		want := encodeStdlib(t, r)
+		if got := r.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("docs %v ranked %v: AppendJSON\n%s\nencoding/json\n%s", r.Docs, r.Ranked, got, want)
+		}
+		if got := r.AppendJSON([]byte("xy")); !bytes.Equal(got, append([]byte("xy"), want...)) {
+			t.Fatalf("docs %v: AppendJSON onto a full dst\n%s", r.Docs, got)
+		}
+	})
+}
+
 func BenchmarkSearchWire(b *testing.B) {
 	r := server.SearchResponse{Query: []string{"a", "b"}, Mode: "or"}
 	for d := uint32(0); len(r.Docs) < 25000; d += 7 + d%13 {
@@ -223,6 +336,14 @@ func BenchmarkSearchWire(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
 			r.AppendJSON(nil)
+		}
+	})
+	dense := server.SearchResponse{Query: []string{"a", "b"}, Mode: "or", Docs: denseDocs(215000, 300000)}
+	dense.Matches = len(dense.Docs)
+	b.Run("encode-dense", func(b *testing.B) {
+		b.SetBytes(int64(len(dense.AppendJSON(nil))))
+		for i := 0; i < b.N; i++ {
+			dense.AppendJSON(nil)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
