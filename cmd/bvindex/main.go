@@ -364,8 +364,12 @@ func runQuery(indexFile, query, mode string, k int, w io.Writer) error {
 		for _, r := range results {
 			fmt.Fprintf(w, "  doc %d (score %d)\n", r.Doc, r.Score)
 		}
-		fmt.Fprintf(w, "  (%d/%d blocks decoded, %d docs scored)\n",
-			stats.BlocksDecoded, stats.BlocksTotal, stats.DocsScored)
+		dense := ""
+		if stats.Dense > 0 {
+			dense = ", scored densely"
+		}
+		fmt.Fprintf(w, "  (%d/%d blocks decoded, %d docs scored%s)\n",
+			stats.BlocksDecoded, stats.BlocksTotal, stats.DocsScored, dense)
 	default:
 		return fmt.Errorf("unknown mode %q (and | or | topk)", mode)
 	}

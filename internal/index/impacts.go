@@ -362,6 +362,22 @@ func (l *termImpactList) Blocks() ([]uint32, []uint8) {
 	return l.meta.blockLast, l.meta.blockMax
 }
 
+// Block returns block b's docids — decoded into buf through the block
+// decoder, or sliced from vals — and its slice of the stored impacts.
+// It is the one place a block is decoded for ranking: the lazy cursor
+// loads through it, and so does the dense scorer.
+func (l *termImpactList) Block(b int, buf []uint32) ([]uint32, []uint8) {
+	n := l.meta.blockLen
+	imps := l.meta.quant[b*n : min((b+1)*n, len(l.meta.quant))]
+	if l.bd == nil {
+		return l.vals[b*n : b*n+len(imps)], imps
+	}
+	if len(buf) < n {
+		buf = make([]uint32, n)
+	}
+	return l.bd.DecodeBlock(b, buf), imps
+}
+
 func (l *termImpactList) Cursor() ops.ImpactCursor {
 	if l.bd != nil {
 		return &blockImpactCursor{l: l, block: -1}
@@ -400,19 +416,20 @@ func (c *arrayImpactCursor) Impact() uint32     { return uint32(c.l.meta.quant[c
 func (c *arrayImpactCursor) BlocksDecoded() int { return len(c.l.meta.blockLast) }
 
 // blockImpactCursor decodes one physical block at a time through
-// core.BlockDecoder, skipping straight to the target's block on seeks:
-// blocks the pruning never lands on are never decompressed.
+// termImpactList.Block, skipping straight to the target's block on
+// seeks: blocks the pruning never lands on are never decompressed.
 type blockImpactCursor struct {
 	l       *termImpactList
 	buf     [impactBlockLen]uint32
 	cur     []uint32
-	block   int // decoded block index; -1 before start, the block count when exhausted
+	imps    []uint8 // the impacts of cur
+	block   int     // decoded block index; -1 before start, the block count when exhausted
 	pos     int
 	decoded int
 }
 
 func (c *blockImpactCursor) load(b int) {
-	c.cur = c.l.bd.DecodeBlock(b, c.buf[:])
+	c.cur, c.imps = c.l.Block(b, c.buf[:])
 	c.block = b
 	c.decoded++
 }
@@ -470,9 +487,7 @@ func (c *blockImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
 	return c.cur[i], true
 }
 
-func (c *blockImpactCursor) Impact() uint32 {
-	return uint32(c.l.meta.quant[c.block*c.l.meta.blockLen+c.pos])
-}
+func (c *blockImpactCursor) Impact() uint32 { return uint32(c.imps[c.pos]) }
 
 func (c *blockImpactCursor) BlocksDecoded() int { return c.decoded }
 

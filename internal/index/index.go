@@ -420,19 +420,22 @@ type Result = ops.ScoredDoc
 
 // TopK ranks the documents matching at least one query term by summed
 // quantized impact, descending (ascending docid on ties), and returns
-// the best k. It runs Block-Max-WAND over each term's impacts: the
-// stored annotations of a BVIX3 v4 index, or annotations derived from
-// the frequency payload (pure document counting when no frequencies
-// exist). Only a list-coded term with stored impacts is decoded block
-// by block, so that blocks which cannot beat the heap threshold stay
-// compressed; any other term is decoded whole (from the decoded cache
-// when attached). Terms absent from the index simply contribute nothing.
+// the best k. It runs ops.TopK's Block-Max mode over each term's
+// impacts: the stored annotations of a BVIX3 v4 index, or annotations
+// derived from the frequency payload (pure document counting when no
+// frequencies exist). Only a list-coded term with stored impacts is
+// decoded block by block, so that blocks which cannot beat the heap
+// threshold stay compressed; any other term is decoded whole (from the
+// decoded cache when attached). A multi-term query dense in the docids
+// it spans is scored in one score array instead, reading every block
+// once. Terms absent from the index simply contribute nothing.
 func (idx *Index) TopK(k int, terms ...string) ([]Result, error) {
 	return idx.TopKWith("", k, nil, terms...)
 }
 
 // TopKWith is TopK with optional work accounting and the algorithm
-// named: "" or "auto" or "bmw" for Block-Max-WAND, "exhaustive" for the
+// named: "" or "auto" or "bmw" for the Block-Max mode (Block-Max-WAND,
+// or the dense scorer when the query is dense), "exhaustive" for the
 // reference that scores every document — both return the identical
 // result list, so naming one is for benchmarking and differential
 // testing. When stats is non-nil it is filled with the evaluation's

@@ -1,14 +1,16 @@
-// Ranked top-k retrieval: document-at-a-time scorers over
-// impact-annotated posting lists. Two algorithms share one heap and one
-// cursor interface — Block-Max-WAND, the one served scorer, and an
-// exhaustive multiway merge, its differential reference — and both
-// return the identical result list: the k highest-scoring
+// Ranked top-k retrieval over impact-annotated posting lists. Two
+// modes share one heap — Block-Max, the served mode, and an exhaustive
+// document-at-a-time multiway merge, its differential reference — and
+// both return the identical result list: the k highest-scoring
 // documents ordered by (score desc, doc asc), where a document's score
 // is the sum of its quantized per-term impacts across every query term
-// that contains it (disjunctive semantics).
+// that contains it (disjunctive semantics). Block-Max runs one of two
+// scorers, chosen from the operands alone: Block-Max-WAND over cursors,
+// or, for a dense multi-term query, one pooled array of scores
+// (densetopk.go).
 //
 // Correctness of the pruning rules rests on one invariant: every
-// algorithm scores candidate documents in strictly increasing docid
+// scorer offers candidate documents in strictly increasing docid
 // order. A candidate therefore displaces the heap minimum only when its
 // score is STRICTLY greater — on a tie the incumbent has the smaller
 // docid and wins — which makes "upper bound <= threshold" an exact
@@ -16,7 +18,10 @@
 // a tie always loses.
 package ops
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // TopKMode selects the ranked-retrieval algorithm.
 type TopKMode int
@@ -31,7 +36,8 @@ const (
 	// maxima, refined by per-block maxima — when the sum of the pivot
 	// blocks' maxima cannot beat the threshold, the cursors skip
 	// directly past the shallowest block boundary without decoding
-	// anything.
+	// anything. A query dense enough that those bounds cannot prune
+	// (denseTopK) is scored in one score array instead.
 	TopKBlockMax
 )
 
@@ -63,6 +69,11 @@ type ImpactList interface {
 	// quantized impact within block i. Both have one entry per block;
 	// the scorers read them and never write.
 	Blocks() (last []uint32, max []uint8)
+	// Block returns block b's docids and their impacts, equal in
+	// length: decoded into buf, which must have room for one block, or
+	// sliced from memory the list already holds. The caller reads them
+	// before its next call with the same buf and never writes them.
+	Block(b int, buf []uint32) (docs []uint32, imps []uint8)
 	// Cursor returns a fresh forward cursor positioned before the first
 	// posting.
 	Cursor() ImpactCursor
@@ -94,7 +105,10 @@ type ScoredDoc struct {
 
 // TopKStats reports where a top-k evaluation spent its work. The
 // decoded-vs-total block counters are the proof of real skipping:
-// exhaustive always decodes everything, Block-Max-WAND must not.
+// exhaustive always decodes everything, Block-Max-WAND must not. The
+// dense scorer reads every block and counts, as DocsScored, the
+// documents left with a nonzero score; Dense counts the evaluations
+// it ran, under Mode "bmw".
 type TopKStats struct {
 	Mode          string `json:"mode"`
 	Lists         int    `json:"lists"`
@@ -102,6 +116,7 @@ type TopKStats struct {
 	BlocksTotal   int    `json:"blocksTotal"`
 	BlocksDecoded int    `json:"blocksDecoded"`
 	DocsScored    int    `json:"docsScored"`
+	Dense         int    `json:"dense,omitempty"`
 }
 
 // Add folds another evaluation's counters into s — how a live index
@@ -116,6 +131,7 @@ func (s *TopKStats) Add(o TopKStats) {
 	s.BlocksTotal += o.BlocksTotal
 	s.BlocksDecoded += o.BlocksDecoded
 	s.DocsScored += o.DocsScored
+	s.Dense += o.Dense
 }
 
 // topkHeap keeps the current k best results with the WORST at the root
@@ -217,6 +233,27 @@ func MergeRanked(lists [][]ScoredDoc, k int) []ScoredDoc {
 // k results are returned when the union is smaller than k. stats, when
 // non-nil, is filled with the evaluation's work counters.
 func TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDoc {
+	return topk(mode, denseTopKCut, k, lists, stats)
+}
+
+// TopKForced is TopK in TopKBlockMax mode with the cut between its two
+// scorers moved by the caller: dense scores in the score array every
+// query of two or more lists that the 16-bit guard admits and that
+// holds at least one posting per 64 docids of its span (so the array
+// stays within 16 words per posting), !dense runs Block-Max-WAND on
+// every query. It exists so that BenchmarkTopKDenseVsBMW can time both
+// scorers over real index lists on both sides of the cut; served paths
+// call TopK.
+func TopKForced(dense bool, k int, lists []ImpactList, stats *TopKStats) []ScoredDoc {
+	cut := math.Inf(1)
+	if dense {
+		cut = 1.0 / 64
+	}
+	return topk(TopKBlockMax, cut, k, lists, stats)
+}
+
+// topk is TopK with denseTopK's cut as a parameter.
+func topk(mode TopKMode, cut float64, k int, lists []ImpactList, stats *TopKStats) []ScoredDoc {
 	if stats != nil {
 		*stats = TopKStats{Mode: mode.String()}
 	}
@@ -227,19 +264,27 @@ func TopK(mode TopKMode, k int, lists []ImpactList, stats *TopKStats) []ScoredDo
 	for _, il := range lists {
 		if il != nil && il.Len() > 0 {
 			live = append(live, il)
+			if stats != nil {
+				last, _ := il.Blocks()
+				stats.Lists++
+				stats.Postings += il.Len()
+				stats.BlocksTotal += len(last)
+			}
+		}
+	}
+	h := &topkHeap{k: k}
+	if mode == TopKBlockMax && len(live) >= 2 {
+		if scored, blocks, ok := scoreDense(live, cut, h); ok {
+			if stats != nil {
+				stats.Dense, stats.DocsScored, stats.BlocksDecoded = 1, scored, blocks
+			}
+			return h.sorted()
 		}
 	}
 	cursors := make([]ImpactCursor, len(live))
 	for i, il := range live {
 		cursors[i] = il.Cursor()
-		if stats != nil {
-			stats.Lists++
-			stats.Postings += il.Len()
-			last, _ := il.Blocks()
-			stats.BlocksTotal += len(last)
-		}
 	}
-	h := &topkHeap{k: k}
 	scored := 0
 	switch mode {
 	case TopKBlockMax:

@@ -13,14 +13,16 @@ import (
 // memImpactList is a reference ImpactList over in-memory (doc, impact)
 // pairs, cut into blocks of blockLen, with its block frame precomputed.
 type memImpactList struct {
-	docs []uint32
-	imps []uint32
-	last []uint32
-	max  []uint8
+	docs     []uint32
+	imps     []uint32
+	imp8     []uint8 // imps as Block hands them out
+	last     []uint32
+	max      []uint8
+	blockLen int
 }
 
 func newMemImpactList(docs, imps []uint32, blockLen int) *memImpactList {
-	m := &memImpactList{docs: docs, imps: imps}
+	m := &memImpactList{docs: docs, imps: imps, imp8: make([]uint8, len(imps)), blockLen: blockLen}
 	for i, d := range docs {
 		if i%blockLen == 0 {
 			m.last, m.max = append(m.last, 0), append(m.max, 0)
@@ -28,6 +30,7 @@ func newMemImpactList(docs, imps []uint32, blockLen int) *memImpactList {
 		b := i / blockLen
 		m.last[b] = d
 		m.max[b] = max(m.max[b], uint8(imps[i]))
+		m.imp8[i] = uint8(imps[i])
 	}
 	return m
 }
@@ -45,6 +48,11 @@ func (m *memImpactList) TermMax() uint32 {
 }
 
 func (m *memImpactList) Blocks() ([]uint32, []uint8) { return m.last, m.max }
+
+func (m *memImpactList) Block(b int, _ []uint32) ([]uint32, []uint8) {
+	lo, hi := b*m.blockLen, min((b+1)*m.blockLen, len(m.docs))
+	return m.docs[lo:hi], m.imp8[lo:hi]
+}
 
 func (m *memImpactList) Cursor() ImpactCursor { return &memImpactCursor{l: m, pos: -1} }
 
@@ -285,12 +293,14 @@ func TestTopKBlockMaxPivotMustAdvance(t *testing.T) {
 	}
 }
 
-// BenchmarkTopK times the two scorers over 1, 2 and 3 C300-shaped
-// lists of 50k, 20k and 5k docs (k = 10). The lists are the test fake
+// BenchmarkTopK times the two modes over 1, 2 and 3 C300-shaped lists
+// of 50k, 20k and 5k docs (k = 10). The lists are the test fake
 // memImpactList, whose cursor seeks with sort.Search, so this times the
-// scorers' own work, not index's block-decoding or galloping cursors;
-// index.topk_us on the benchmark spine times those. Run with -benchmem
-// for allocs/op.
+// scorers' own work, not index's block-decoding or galloping cursors,
+// and it does not represent served BMW. BenchmarkTopKDenseVsBMW
+// (internal/index) times BMW and the dense scorer over real BVIX3 v4
+// lists, and index.topk_us on the benchmark spine times the served
+// path. Run with -benchmem for allocs/op.
 func BenchmarkTopK(b *testing.B) {
 	rng := rand.New(rand.NewSource(300))
 	var lists []ImpactList

@@ -83,8 +83,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // ParseSearchResponse (wire.go); its tags are the spec both follow.
 // TopK carries the pruning work counters for ranked queries, so callers
 // (and the load harness) can see how many blocks Block-Max-WAND
-// actually decoded. The last three fields appear only on a router's
-// answers.
+// actually decoded, and how many segments or shards scored densely.
+// The last three fields appear only on a router's answers.
 type SearchResponse struct {
 	Query          []string       `json:"query"`
 	Mode           string         `json:"mode"`

@@ -30,6 +30,8 @@ func wireTable() []server.SearchResponse {
 		{Query: []string{"none"}, Mode: "topk", TopK: stats},
 		{Query: []string{"router"}, Mode: "or", Docs: []uint32{2, 4}, Matches: 2, Partial: true, DegradedShards: []int{1, 3}, Shards: 4},
 		{Query: []string{"router"}, Mode: "topk", Ranked: []index.Result{{Doc: 5, Score: 3}}, Matches: 1, TopK: stats, Shards: 2},
+		{Query: []string{"hot", "terms"}, Mode: "topk", Ranked: []index.Result{{Doc: 41, Score: 17}, {Doc: 3, Score: 12}}, Matches: 2,
+			TopK: &ops.TopKStats{Mode: "bmw", Lists: 4, Postings: 510000, BlocksTotal: 3986, BlocksDecoded: 3986, DocsScored: 290000, Dense: 2}, Shards: 2},
 		{Query: []string{`q"uote`, `back\slash`, "<html>&amp;", "line\u2028para\u2029sep", "bad\xffutf8\xc3", "ctl\x01\t\n"}, Mode: "and"},
 		{Query: nil, Mode: ""},
 		{Query: []string{}, Mode: "and", Matches: -1},
