@@ -184,6 +184,13 @@ func (EWAH) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every marker's literal count must fit in the words after it, or
+	// the span reader would index past the end.
+	for i := 0; i < len(words); i += 1 + int(words[i]>>17) {
+		if int(words[i]>>17) > len(words)-i-1 {
+			return nil, fmt.Errorf("%w: EWAH marker owes more literals than remain", core.ErrBadFormat)
+		}
+	}
 	p := &ewahPosting{words: words, n: n}
 	if err := verifySpans(p.spans(), n); err != nil {
 		return nil, err
@@ -317,7 +324,9 @@ func (VALWAH) Decode(data []byte) (core.Posting, error) {
 // --- Roaring ---
 
 func (p *roaringPosting) MarshalBinary() ([]byte, error) {
-	dst := core.PutHeader(nil, core.TagRoaring, p.n)
+	// A 9-byte header, then 7 bytes of metadata per container before
+	// its payload; SizeBytes counts the payloads and 4 of those 7.
+	dst := core.PutHeader(make([]byte, 0, 9+3*len(p.cs)+p.SizeBytes()), core.TagRoaring, p.n)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.cs)))
 	for i, c := range p.cs {
 		dst = binary.LittleEndian.AppendUint16(dst, p.keys[i])
@@ -359,6 +368,9 @@ func (Roaring) Decode(data []byte) (core.Posting, error) {
 		kind := rest[2]
 		card := int(binary.LittleEndian.Uint32(rest[3:]))
 		rest = rest[7:]
+		if i > 0 && key <= p.keys[i-1] {
+			return nil, fmt.Errorf("%w: Roaring container keys not increasing", core.ErrBadFormat)
+		}
 		switch kind {
 		case 0:
 			if len(rest) < 2*card {
@@ -367,6 +379,9 @@ func (Roaring) Decode(data []byte) (core.Posting, error) {
 			c := make(arrayContainer, card)
 			for k := range c {
 				c[k] = binary.LittleEndian.Uint16(rest[2*k:])
+				if k > 0 && c[k] <= c[k-1] {
+					return nil, fmt.Errorf("%w: array container values not increasing", core.ErrBadFormat)
+				}
 			}
 			rest = rest[2*card:]
 			p.cs = append(p.cs, c)
@@ -390,19 +405,20 @@ func (Roaring) Decode(data []byte) (core.Posting, error) {
 		}
 		p.keys = append(p.keys, key)
 	}
-	// The header count must equal the byte-bounded container total
-	// before VerifyDecompress trusts it to size the decode buffer: a
-	// lying header otherwise forces an allocation the payload's actual
-	// contents never justify.
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last Roaring container", core.ErrBadFormat, len(rest))
+	}
+	// The header count must equal the byte-bounded container total.
+	// With the keys increasing, every array container increasing and
+	// every bitmap container's count its popcount, that proves what
+	// core.VerifyDecompress would check by decoding: the posting
+	// decompresses to exactly n strictly increasing values.
 	total := 0
 	for _, c := range p.cs {
 		total += c.card()
 	}
 	if total != n {
 		return nil, fmt.Errorf("%w: Roaring header declares %d values, containers hold %d", core.ErrBadFormat, n, total)
-	}
-	if err := core.VerifyDecompress(p); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

@@ -35,10 +35,12 @@ var ErrBadFormat = errors.New("core: malformed serialized posting")
 
 // VerifyDecompress fully decodes p and checks the result is a sorted
 // set of the declared cardinality, converting any panic from a corrupt
-// payload into ErrBadFormat. Codec Decode implementations run this so
-// a successfully decoded posting is guaranteed usable. (Adversarial
-// inputs can still force a large transient allocation before the check
-// fails; do not feed untrusted data to Decode.)
+// payload into ErrBadFormat. Codec Decode implementations run this, or
+// prove the same from the blob's structure without decoding it (as
+// Roaring does), so a successfully decoded posting is guaranteed
+// usable. (Adversarial inputs can still force a large transient
+// allocation before the check fails; do not feed untrusted data to
+// Decode.)
 func VerifyDecompress(p Posting) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

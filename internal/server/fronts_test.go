@@ -70,8 +70,8 @@ func routerOver(t *testing.T, backends ...shard.Backend) *shard.Router {
 // threeFronts serves the same documents, under the same docids and the
 // same limits, from a static server, a live server (half the documents
 // sealed, half still mutable) and a router front over two in-process
-// shards.
-func threeFronts(t *testing.T) map[string]http.Handler {
+// shards. It also returns the Searcher behind each front.
+func threeFronts(t *testing.T) (map[string]http.Handler, map[string]index.Searcher) {
 	t.Helper()
 	docs := frontDocs()
 	cfg := server.Config{Logger: quiet, MaxQueryTerms: 4, MaxK: 50, MaxURLBytes: 512}
@@ -100,11 +100,16 @@ func threeFronts(t *testing.T) map[string]http.Handler {
 		&shard.IndexBackend{Idx: buildStatic(t, parts[0])},
 		&shard.IndexBackend{Idx: buildStatic(t, parts[1])})
 
+	static := buildStatic(t, docs)
 	return map[string]http.Handler{
-		"static": server.New(buildStatic(t, docs), cfg).Handler(),
-		"live":   server.NewLive(l, cfg).Handler(),
-		"router": server.NewFront(router, cfg).Handler(),
-	}
+			"static": server.New(static, cfg).Handler(),
+			"live":   server.NewLive(l, cfg).Handler(),
+			"router": server.NewFront(router, cfg).Handler(),
+		}, map[string]index.Searcher{
+			"static": static,
+			"live":   l,
+			"router": router,
+		}
 }
 
 func get(h http.Handler, path string) *httptest.ResponseRecorder {
@@ -117,7 +122,7 @@ func get(h http.Handler, path string) *httptest.ResponseRecorder {
 // same requests go to all three fronts; refusals must agree byte for
 // byte and answers document for document.
 func TestOneTableThreeFronts(t *testing.T) {
-	fronts := threeFronts(t)
+	fronts, _ := threeFronts(t)
 
 	malformed := []struct {
 		name, path string

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"repro/internal/index"
 	"repro/internal/ops"
@@ -138,7 +139,9 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 // partial"), not a failed query. The answer is encoded once, by
 // AppendJSON into one buffer sized from it, and handed to the
 // connection as it is, with its Content-Length: the timeout middleware
-// passes writes through rather than copying them.
+// passes writes through rather than copying them. A complete and/or
+// answer to a request that accepts PostingContentType is written as a
+// posting instead; nothing else about the request or answer changes.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, err := s.parseSearch(r.URL.Query())
 	if err != nil {
@@ -156,6 +159,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.log.Printf("server: query %v: %d of %d shards degraded %v, results partial",
 			req.Terms, len(ans.Degraded), ans.Shards, ans.Degraded)
 	}
+	if req.Mode != "topk" && !ans.Partial && acceptsPosting(r.Header) {
+		// A Searcher's docids are sorted and distinct, so the encoder
+		// does not fail; if it ever did, the answer goes out as JSON.
+		if body, err := MarshalPosting(ans.Docs); err == nil {
+			w.Header().Set("Vary", "Accept")
+			writeBody(w, PostingContentType, body)
+			return
+		}
+	}
 	matches := len(ans.Docs)
 	if req.Mode == "topk" {
 		matches = len(ans.Ranked)
@@ -165,13 +177,31 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Docs: ans.Docs, Ranked: ans.Ranked, Matches: matches, TopK: ans.TopK,
 		Partial: ans.Partial, DegradedShards: ans.Degraded, Shards: ans.Shards,
 	}
-	body := resp.AppendJSON(nil)
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, "application/json", resp.AppendJSON(nil))
+}
+
+// writeBody answers 200 with body, its Content-Type and Content-Length.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	// A failed write means the client is gone; the logging middleware
 	// still records the status.
 	_, _ = w.Write(body)
+}
+
+// acceptsPosting reports whether an Accept header lists
+// PostingContentType, with or without media-type parameters.
+func acceptsPosting(h http.Header) bool {
+	for _, v := range h.Values("Accept") {
+		for _, item := range strings.Split(v, ",") {
+			mediaType, _, _ := strings.Cut(item, ";")
+			if strings.EqualFold(strings.TrimSpace(mediaType), PostingContentType) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // writeSearchError is the one /search error shape: 400 with the bare

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"slices"
 	"strconv"
 
+	"repro/internal/bitmap"
+	"repro/internal/core"
 	"repro/internal/index"
 )
 
@@ -533,4 +536,44 @@ func (p *wireParser) ranked() ([]index.Result, error) {
 		}
 		return nil, p.fail("expected ',' or ']' in ranked")
 	}
+}
+
+// PostingContentType is the /search answer's second encoding, for the
+// router's hop to its shards: a complete boolean answer's docids as the
+// MarshalBinary bytes of a bitmap.Roaring posting, about 2 bits per
+// docid where JSON takes about 7 bytes. A front sends it only to a
+// request whose Accept header names it, and only for an and/or answer
+// that is not partial; every other answer is JSON.
+const PostingContentType = "application/x-bvposting"
+
+// MarshalPosting returns docs, sorted and distinct, as the body of a
+// posting answer.
+func MarshalPosting(docs []uint32) ([]byte, error) {
+	p, err := bitmap.Roaring{}.Compress(docs)
+	if err != nil {
+		return nil, err
+	}
+	return p.(encoding.BinaryMarshaler).MarshalBinary()
+}
+
+// ParsePosting reads a posting answer's body back into its docids. The
+// body must be one whole bitmap.Roaring posting: another format tag, a
+// truncated container or bytes after the last one are refused by the
+// decoder. The cardinality is read from the header, which the decoder
+// checks against the containers, and a count over maxDocs is refused
+// before anything is decoded, so a body within a size limit cannot
+// expand into gigabytes of docids.
+func ParsePosting(body []byte, maxDocs int) ([]uint32, error) {
+	n, _, err := core.GetHeader(body, core.TagRoaring)
+	if err != nil {
+		return nil, fmt.Errorf("server: posting body: %w", err)
+	}
+	if n > maxDocs {
+		return nil, fmt.Errorf("server: posting body holds %d docids, limit is %d", n, maxDocs)
+	}
+	p, err := bitmap.Roaring{}.Decode(body)
+	if err != nil {
+		return nil, fmt.Errorf("server: posting body: %w", err)
+	}
+	return core.DecompressAppend(p, make([]uint32, 0, p.Len())), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -248,11 +249,6 @@ func denseDocs(n, domain int) []uint32 {
 	return docs
 }
 
-// BenchmarkSearchWire times the /search body both ways. "encode" is a
-// sparse answer (every gap at least 280, so every docid is rendered
-// afresh); "encode-dense" is the mean served C300 OR, 215 000 docids
-// from 300 000, where nearly every docid is its predecessor's text
-// plus a carry.
 // fuzzEdges are the docids where the decimal text changes width, and
 // the top of the range.
 var fuzzEdges = []uint32{0, 9, 10, 99, 100, 999, 1e3, 9999, 1e4, 99999, 1e5, 999999, 1e6,
@@ -327,6 +323,15 @@ func FuzzAppendJSON(f *testing.F) {
 	})
 }
 
+// BenchmarkSearchWire times the /search body both ways. "encode" is a
+// sparse answer (every gap at least 280, so every docid is rendered
+// afresh); "encode-dense" is the mean served C300 OR, 215 000 docids
+// from 300 000, where nearly every docid is its predecessor's text
+// plus a carry. "posting" weighs the two encodings of a shard's answer
+// on the router's hop against each other: a routed OR's mean shard
+// answer (107 500 docids from 150 000) and a small one (3 000), each
+// encoded and decoded as JSON and as a Roaring posting, with the
+// body's bytes as the reported size.
 func BenchmarkSearchWire(b *testing.B) {
 	r := server.SearchResponse{Query: []string{"a", "b"}, Mode: "or"}
 	for d := uint32(0); len(r.Docs) < 25000; d += 7 + d%13 {
@@ -356,4 +361,43 @@ func BenchmarkSearchWire(b *testing.B) {
 			}
 		}
 	})
+	for _, n := range []int{107500, 3000} {
+		shard := server.SearchResponse{Query: []string{"a", "b"}, Mode: "or", Docs: denseDocs(n, 150000), Matches: n}
+		jsonBody := shard.AppendJSON(nil)
+		posting, err := server.MarshalPosting(shard.Docs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("posting/%d-of-150000/", n)
+		b.Run(name+"json-encode", func(b *testing.B) {
+			b.SetBytes(int64(len(jsonBody)))
+			for i := 0; i < b.N; i++ {
+				shard.AppendJSON(nil)
+			}
+		})
+		b.Run(name+"json-decode", func(b *testing.B) {
+			b.SetBytes(int64(len(jsonBody)))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := server.ParseSearchResponse(jsonBody); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"roaring-encode", func(b *testing.B) {
+			b.SetBytes(int64(len(posting)))
+			for i := 0; i < b.N; i++ {
+				if _, err := server.MarshalPosting(shard.Docs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"roaring-decode", func(b *testing.B) {
+			b.SetBytes(int64(len(posting)))
+			for i := 0; i < b.N; i++ {
+				if _, err := server.ParsePosting(posting, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

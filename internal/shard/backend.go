@@ -71,9 +71,13 @@ func (b *IndexBackend) Search(ctx context.Context, req Request) (index.Answer, e
 }
 
 // HTTPBackend answers queries by calling a bvserve replica's /search
-// endpoint and reading the body with server.ParseSearchResponse, the
-// decoder of the format every front writes, so any bvserve — local
-// process or remote machine — can stand behind the router unchanged.
+// endpoint. It asks for a boolean answer as a posting
+// (server.PostingContentType) and reads whichever encoding the reply's
+// Content-Type names: a posting with server.ParsePosting, JSON — every
+// top-k answer and error, and any answer from a front that does not
+// know the posting — with server.ParseSearchResponse. So any bvserve,
+// local process or remote machine, can stand behind the router
+// unchanged.
 type HTTPBackend struct {
 	// Base is the replica's root URL, e.g. "http://10.0.0.7:8080".
 	Base   string
@@ -109,7 +113,10 @@ func (b *HTTPBackend) Health(ctx context.Context) error {
 // Search asks the replica. A 4xx other than 429 is the caller's fault
 // — the same request would fail on every replica of every shard — so it
 // comes back as *index.BadRequest carrying the replica's own message;
-// anything else that is not a 200 is a replica failure.
+// anything else that is not a complete 200 answer is a replica failure.
+// That includes a partial answer, from a replica that is itself a
+// router: merged as if complete, it would silently drop documents, so
+// the router fails over or degrades the shard instead.
 func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, error) {
 	q := url.Values{}
 	q.Set("q", strings.Join(req.Terms, " "))
@@ -121,6 +128,7 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, er
 	if err != nil {
 		return index.Answer{}, err
 	}
+	hreq.Header.Set("Accept", server.PostingContentType)
 	resp, err := b.client().Do(hreq)
 	if err != nil {
 		return index.Answer{}, err
@@ -130,11 +138,24 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, er
 	if err != nil {
 		return index.Answer{}, fmt.Errorf("shard: %s: /search (%s): %w", b.Base, resp.Status, err)
 	}
+	if resp.Header.Get("Content-Type") == server.PostingContentType {
+		if resp.StatusCode != http.StatusOK || req.Mode == "topk" {
+			return index.Answer{}, fmt.Errorf("shard: %s: /search (%s): unexpected posting answer to mode %q", b.Base, resp.Status, req.Mode)
+		}
+		docs, err := server.ParsePosting(body, maxPostingDocs)
+		if err != nil {
+			return index.Answer{}, fmt.Errorf("shard: %s: bad /search posting: %w", b.Base, err)
+		}
+		return index.Answer{Docs: docs}, nil
+	}
 	wire, errMsg, perr := server.ParseSearchResponse(body)
 	if perr != nil {
 		return index.Answer{}, fmt.Errorf("shard: %s: bad /search response (%s): %w", b.Base, resp.Status, perr)
 	}
 	if resp.StatusCode == http.StatusOK {
+		if wire.Partial {
+			return index.Answer{}, fmt.Errorf("shard: %s: /search answer is partial (shards %v of %d degraded)", b.Base, wire.DegradedShards, wire.Shards)
+		}
 		return index.Answer{Docs: wire.Docs, Ranked: wire.Ranked, TopK: wire.TopK}, nil
 	}
 	if errMsg == "" {
@@ -150,6 +171,11 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, er
 // a shard sends, small enough that a broken replica cannot exhaust the
 // router's memory.
 const maxSearchBody = 64 << 20
+
+// maxPostingDocs bounds a posting answer's docids at the most a JSON
+// body within maxSearchBody can carry, a digit and a comma each, so the
+// smaller encoding cannot smuggle in a larger answer.
+const maxPostingDocs = maxSearchBody / 2
 
 // readBody reads a response body of at most limit bytes into one
 // buffer, allocated once from Content-Length when the sender declared it
