@@ -122,6 +122,9 @@ func (RoaringRun) Decode(data []byte) (core.Posting, error) {
 		}
 		p.keys = append(p.keys, key)
 	}
+	if err := core.CheckEnd(rest); err != nil {
+		return nil, err
+	}
 	// As in Roaring.Decode: the header count must match the
 	// byte-bounded container total before it sizes any buffer.
 	total := 0

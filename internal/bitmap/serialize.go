@@ -129,8 +129,11 @@ func (Bitset) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readU64s(rest)
+	words, tail, err := readU64s(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	// A popcount over the words validates the payload against the header
@@ -159,8 +162,11 @@ func (WAH) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readU32s(rest)
+	words, tail, err := readU32s(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	p := &wahPosting{words: words, n: n}
@@ -180,8 +186,11 @@ func (EWAH) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readU32s(rest)
+	words, tail, err := readU32s(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	// Every marker's literal count must fit in the words after it, or
@@ -208,8 +217,11 @@ func (CONCISE) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readU32s(rest)
+	words, tail, err := readU32s(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	p := &concisePosting{words: words, n: n}
@@ -229,8 +241,11 @@ func (PLWAH) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readU32s(rest)
+	words, tail, err := readU32s(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	p := &plwahPosting{words: words, n: n}
@@ -252,8 +267,11 @@ func (SBH) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := readBytes(rest)
+	b, tail, err := readBytes(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	p := &sbhPosting{data: b, n: n}
@@ -273,8 +291,11 @@ func (BBC) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := readBytes(rest)
+	b, tail, err := readBytes(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	p := &bbcPosting{data: b, n: n}
@@ -304,8 +325,11 @@ func (VALWAH) Decode(data []byte) (core.Posting, error) {
 	}
 	seg := uint32(rest[0])
 	nbits := binary.LittleEndian.Uint64(rest[1:])
-	words, _, err := readU64s(rest[9:])
+	words, tail, err := readU64s(rest[9:])
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(tail); err != nil {
 		return nil, err
 	}
 	if seg != 7 && seg != 14 && seg != 28 {
@@ -346,6 +370,58 @@ func (p *roaringPosting) MarshalBinary() ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// MarshalRoaringWords returns the set held in words — bit i standing
+// for value base+i, base a multiple of 2^16 — as the MarshalBinary bytes
+// of its Roaring posting, byte for byte what Roaring{}.Compress of the
+// set's values marshals to. It builds the containers from the words,
+// 1024 words (one bucket) at a time, by Compress's own rule: a bucket
+// holding more than 4096 values is copied as a bitmap container, any
+// other non-empty one is extracted as an array. No value list is made.
+func MarshalRoaringWords(words []uint64, base uint32) []byte {
+	const bucketWords = 1 << 10
+	cards := make([]int, (len(words)+bucketWords-1)/bucketWords)
+	n, size := 0, 9
+	for b := range cards {
+		c := kernels.PopcountWords(words[b*bucketWords : min((b+1)*bucketWords, len(words))])
+		cards[b], n = c, n+c
+		switch {
+		case c > roaringArrayMax:
+			size += 7 + 8*bucketWords
+		case c > 0:
+			size += 7 + 2*c
+		}
+	}
+	dst := core.PutHeader(make([]byte, 0, size), core.TagRoaring, n)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // container count, set below
+	nc := 0
+	for b, c := range cards {
+		if c == 0 {
+			continue
+		}
+		nc++
+		bucket := words[b*bucketWords : min((b+1)*bucketWords, len(words))]
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(base>>16)+uint16(b))
+		if c > roaringArrayMax {
+			dst = append(dst, 1)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
+			for _, w := range bucket {
+				dst = binary.LittleEndian.AppendUint64(dst, w)
+			}
+			dst = append(dst, make([]byte, 8*(bucketWords-len(bucket)))...)
+			continue
+		}
+		dst = append(dst, 0)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
+		for i, w := range bucket {
+			for ; w != 0; w &= w - 1 {
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(i<<6|bits.TrailingZeros64(w)))
+			}
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[5:], uint32(nc))
+	return dst
 }
 
 // Decode implements core.Decoder.

@@ -12,7 +12,8 @@ import (
 // postings and reload them without recompressing.
 //
 // Decoder is the codec-side counterpart: it reconstructs a Posting from
-// MarshalBinary output. Every codec in this module implements it;
+// MarshalBinary output, and only from exactly that: bytes after the
+// payload are refused (CheckEnd). Every codec in this module implements it;
 // codecs.Decode dispatches on the format tag when the producing codec
 // is unknown.
 //
@@ -92,4 +93,14 @@ func GetHeader(data []byte, tag byte) (n int, rest []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: tag 0x%02x, want 0x%02x", ErrBadFormat, data[0], tag)
 	}
 	return int(binary.LittleEndian.Uint32(data[1:])), data[5:], nil
+}
+
+// CheckEnd is Decode's last structural check: rest, what is left of the
+// blob once the payload is read, must be empty. A blob is exactly one
+// MarshalBinary output, never a prefix of a longer byte string.
+func CheckEnd(rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d bytes after the payload", ErrBadFormat, len(rest))
+	}
+	return nil
 }

@@ -389,30 +389,24 @@ func (idx *Index) Conjunctive(terms ...string) ([]uint32, error) {
 	return ops.Intersect(ps)
 }
 
-// Disjunctive returns the documents containing at least one term. With
-// a cache attached, hot terms skip decompression: the union runs over
-// the cached decoded lists (UnionMany never writes into its inputs, so
-// the shared slices stay intact). Without a cache, ops.Union reads the
-// compressed postings directly: a dense union ORs them into one word
-// array (Roaring containers word-wise, list blocks bit by bit), a
-// sparse one takes the native same-codec pair, then a merge.
+// Disjunctive returns the documents containing at least one term,
+// straight from the compressed postings: a dense union ORs them into
+// one word array (Roaring containers word-wise, list blocks bit by
+// bit), a sparse one takes the native same-codec pair, then a merge.
+// It never reads the decoded cache, whose only reader is top-k.
 func (idx *Index) Disjunctive(terms ...string) ([]uint32, error) {
-	if idx.cache != nil {
-		var lists [][]uint32
-		for _, t := range terms {
-			if _, ok := idx.entry(t); ok {
-				lists = append(lists, idx.DecodedPostings(t))
-			}
-		}
-		return ops.UnionMany(lists), nil
-	}
+	return ops.Union(idx.postings(terms))
+}
+
+// postings returns the postings of the terms present in the index.
+func (idx *Index) postings(terms []string) []core.Posting {
 	var ps []core.Posting
 	for _, t := range terms {
 		if e, ok := idx.entry(t); ok {
 			ps = append(ps, e.posting)
 		}
 	}
-	return ops.Union(ps)
+	return ps
 }
 
 // Result is one ranked document.

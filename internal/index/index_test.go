@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -71,6 +72,45 @@ func TestConjunctiveDisjunctive(t *testing.T) {
 		}
 		if r, _ := idx.Disjunctive("bitmap", "nonexistent"); len(r) == 0 {
 			t.Errorf("%s: OR with missing term should keep matches", codec)
+		}
+	}
+}
+
+// TestSearchWordsMatchesDisjunctive: a request that takes words gets a
+// dense OR as words holding exactly Disjunctive's docids, never beside
+// docids; an AND, a sparse OR and a request without Words get docids.
+func TestSearchWordsMatchesDisjunctive(t *testing.T) {
+	for _, codec := range []string{"Roaring", "SIMDBP128*", "WAH"} {
+		idx := buildTestIndex(t, codec)
+		for _, q := range [][]string{{"compressed", "bitmap", "lists"}, {"roaring", "pfordelta"}, {"bitmap"}, {"absent"}} {
+			want, err := idx.Disjunctive(q...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, words := range []bool{false, true} {
+				a, err := idx.Search(context.Background(), Request{Mode: "or", Terms: q, Words: words})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := a.Docs
+				if a.Words != nil {
+					if !words || a.Docs != nil {
+						t.Fatalf("%s %v words=%v: words beside %v", codec, q, words, a.Docs)
+					}
+					got = a.Words.Docs()
+				}
+				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%s %v words=%v: %v, Disjunctive %v", codec, q, words, got, want)
+				}
+			}
+		}
+		// Over seven documents a list-coded OR is dense in its span (a
+		// Roaring one spans its whole bucket, and a WAH pair ORs natively).
+		if a, _ := idx.Search(context.Background(), Request{Mode: "or", Terms: []string{"compressed", "bitmap"}, Words: true}); codec == "SIMDBP128*" && a.Words == nil {
+			t.Errorf("%s: a dense OR that takes words came back as %v", codec, a.Docs)
+		}
+		if a, _ := idx.Search(context.Background(), Request{Mode: "and", Terms: []string{"compressed", "bitmap"}, Words: true}); a.Words != nil {
+			t.Errorf("%s: an AND came back as words", codec)
 		}
 	}
 }

@@ -15,10 +15,16 @@ type Request struct {
 	Mode  string // "and" | "or" | "topk"
 	Terms []string
 	K     int // topk only
+
+	// Words says the caller takes a dense boolean answer as
+	// Answer.Words. The HTTP front sets it for and/or; every other
+	// caller gets Docs, as if it were unset.
+	Words bool
 }
 
 // Answer is what a Searcher returns. Boolean modes fill Docs (ascending
-// docids), topk fills Ranked (score desc, doc asc) and TopK, the
+// docids), or Words instead when the request set Words and the answer
+// is dense — never both; topk fills Ranked (score desc, doc asc) and TopK, the
 // evaluation's work counters summed over whatever evaluated it — one
 // index, a live index's sealed segments, a router's shards. Only a
 // Searcher that fans out fills the coverage fields: Partial marks that
@@ -26,6 +32,7 @@ type Request struct {
 // shards that responded — a documented subset, never a wrong result.
 type Answer struct {
 	Docs   []uint32
+	Words  *ops.Words
 	Ranked []Result
 	TopK   *ops.TopKStats
 
@@ -83,12 +90,21 @@ func search(ctx context.Context, e evaluator, req Request) (Answer, error) {
 	return Answer{}, ErrBadMode
 }
 
-// Search evaluates req against the index.
+// Search evaluates req against the index. A dense OR comes back as
+// Words when req.Words is set.
 func (idx *Index) Search(ctx context.Context, req Request) (Answer, error) {
+	if req.Words && req.Mode == "or" {
+		if err := ctx.Err(); err != nil {
+			return Answer{}, err
+		}
+		docs, words, err := ops.UnionWords(idx.postings(req.Terms))
+		return Answer{Docs: docs, Words: words}, err
+	}
 	return search(ctx, idx, req)
 }
 
-// Search evaluates req across every segment of the live index.
+// Search evaluates req across every segment of the live index. Live
+// answers are always Docs: req.Words is ignored.
 func (l *Live) Search(ctx context.Context, req Request) (Answer, error) {
 	return search(ctx, l, req)
 }

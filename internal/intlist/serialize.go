@@ -38,6 +38,9 @@ func (RawList) Decode(data []byte) (core.Posting, error) {
 	if len(rest) < 4*n {
 		return nil, fmt.Errorf("%w: truncated raw list", core.ErrBadFormat)
 	}
+	if err := core.CheckEnd(rest[4*n:]); err != nil {
+		return nil, err
+	}
 	p := &rawPosting{values: make([]uint32, n)}
 	for i := range p.values {
 		p.values[i] = binary.LittleEndian.Uint32(rest[4*i:])
@@ -130,6 +133,9 @@ func (Blocked) Decode(data []byte) (core.Posting, error) {
 	if len(rest) < dataLen {
 		return nil, fmt.Errorf("%w: truncated Blocked payload", core.ErrBadFormat)
 	}
+	if err := core.CheckEnd(rest[dataLen:]); err != nil {
+		return nil, err
+	}
 	p.data = make([]byte, dataLen)
 	copy(p.data, rest)
 	if err := p.validate(); err != nil {
@@ -219,8 +225,11 @@ func (PEF) Decode(data []byte) (core.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.highBits, p.high, _, err = readBitArray(rest)
+	p.highBits, p.high, rest, err = readBitArray(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckEnd(rest); err != nil {
 		return nil, err
 	}
 	// Bounds-check the directory against the arrays, and the header

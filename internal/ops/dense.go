@@ -2,6 +2,8 @@ package ops
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -34,6 +36,44 @@ func denseUnion(total int, lo, hi uint32) bool {
 	return total > 0 && 64*float64(total) >= denseCut*float64(hi-lo)
 }
 
+// Dense reports whether a set of total values spanning [lo, hi] is
+// held as Words rather than as a sorted list: the dense union's own
+// cut, so a word array is never more than 16 bits a value.
+func Dense(total int, lo, hi uint32) bool { return denseUnion(total, lo, hi) }
+
+// Words is a set of values as a bit array: bit i of W (bit i%64 of
+// word i/64) stands for value Base+i. Base is a multiple of 2^16, so
+// every 1024 words are one Roaring bucket. It is how a dense answer
+// travels from the union to the wire without becoming a []uint32.
+type Words struct {
+	Base uint32
+	W    []uint64
+}
+
+// Len reports the number of values in w.
+func (w Words) Len() int { return kernels.PopcountWords(w.W) }
+
+// Docs returns w's values as a sorted list.
+func (w Words) Docs() []uint32 {
+	return kernels.ExtractWords(make([]uint32, 0, w.Len()), w.W, w.Base)
+}
+
+// Bounds returns w's least and greatest values; ok is false when w
+// holds none.
+func (w Words) Bounds() (lo, hi uint32, ok bool) {
+	first := slices.IndexFunc(w.W, func(x uint64) bool { return x != 0 })
+	if first < 0 {
+		return 0, 0, false
+	}
+	last := len(w.W) - 1
+	for w.W[last] == 0 {
+		last--
+	}
+	lo = w.Base + uint32(first)<<6 + uint32(bits.TrailingZeros64(w.W[first]))
+	hi = w.Base + uint32(last)<<6 + uint32(63-bits.LeadingZeros64(w.W[last]))
+	return lo, hi, true
+}
+
 // accumulator is the dense union's pooled state. words is zero across
 // its whole capacity between uses (drain clears what it reads), so a
 // warm union neither allocates nor clears an accumulator. It is pooled
@@ -63,6 +103,28 @@ func putAccumulator(a *accumulator) {
 	clear(a.lists)
 	a.lists = a.lists[:0]
 	accPool.Put(a)
+}
+
+// unionFresh is UnionWords' choice: the dense path ORs into fresh
+// words, which the caller owns, and the sparse path merges.
+func (a *accumulator) unionFresh(postings []core.Posting) ([]uint32, *Words, error) {
+	lo, hi, total := a.boundAll(postings)
+	if !denseUnion(total, lo, hi) {
+		if len(postings) == 1 {
+			if a.lists[0] != nil {
+				return a.lists[0], nil, nil
+			}
+			return postings[0].Decompress(), nil, nil
+		}
+		docs, err := unionSparse(postings, a.lists)
+		return docs, nil, err
+	}
+	base := lo &^ 0xffff
+	w := &Words{Base: base, W: make([]uint64, int((hi-base)>>6)+1)}
+	for i, p := range postings {
+		a.orInto(w.W, base, p, a.lists[i])
+	}
+	return nil, w, nil
 }
 
 // union is Union's choice and both of its paths. Each operand is

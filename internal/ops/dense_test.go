@@ -137,6 +137,62 @@ func TestUnionDenseMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestUnionWordsMatchesUnion: UnionWords, drained, is Union, for every
+// pairing of codecs (operands alternating between the two) over the
+// dense-union corpus, on both sides of the cut. Its words start at a
+// 2^16 bucket boundary, come back for every Roaring union dense over
+// its buckets, and
+// are the caller's: Union's pooled accumulator stays clear.
+func TestUnionWordsMatchesUnion(t *testing.T) {
+	all := append(codecs.All(), codecs.Extensions()...)
+	for _, k := range []int{1, 2, 3} {
+		for _, c := range unionCases(k) {
+			want := refUnionMany(c.lists)
+			compressed := make([][]core.Posting, len(all))
+			for i, codec := range all {
+				if !(c.top && codec.Name() == "Bitset") { // 512 MiB at 2^32−1
+					compressed[i] = compressAll(t, codec, c.lists)
+				}
+			}
+			for i := range all {
+				for j := range all {
+					if compressed[i] == nil || compressed[j] == nil || (k == 1 && j > 0) {
+						continue
+					}
+					ps := make([]core.Posting, k)
+					for op := range ps {
+						ps[op] = [][]core.Posting{compressed[i], compressed[j]}[op%2][op]
+					}
+					docs, w, err := UnionWords(ps)
+					if err != nil {
+						t.Fatalf("k=%d %s %s+%s: %v", k, c.name, all[i].Name(), all[j].Name(), err)
+					}
+					got := docs
+					if w != nil {
+						if docs != nil || w.Base&0xffff != 0 {
+							t.Fatalf("k=%d %s %s+%s: words at %#x beside %d docids", k, c.name, all[i].Name(), all[j].Name(), w.Base, len(docs))
+						}
+						got = w.Docs()
+					}
+					if !equalU32(normalizeQ(got), want) {
+						t.Fatalf("k=%d %s %s+%s: UnionWords differs from Union (%d vs %d values)", k, c.name, all[i].Name(), all[j].Name(), len(got), len(want))
+					}
+					// Roaring bounds its operands by whole buckets.
+					lo, hi, total := listBounds(c.lists)
+					if roaring := all[i].Name() == "Roaring" && all[j].Name() == "Roaring"; roaring && (w != nil) != denseUnion(total, lo&^0xffff, hi|0xffff) {
+						t.Fatalf("k=%d %s: Roaring words %v, dense over its buckets %v", k, c.name, w != nil, !(w != nil))
+					}
+				}
+			}
+		}
+	}
+	a := getAccumulator()
+	if n := kernels.PopcountWords(a.words[:cap(a.words)]); n != 0 {
+		t.Fatalf("the accumulator kept %d bits", n)
+	}
+	putAccumulator(a)
+}
+
 // TestUnionDenseMixedFamilies: Roaring, Roaring+Run and SIMDBP128*
 // operands OR into one accumulator together; a run-length bitmap or
 // PEF among them is decoded for its bound and set bit by bit.

@@ -280,6 +280,27 @@ func Union(postings []core.Posting) ([]uint32, error) {
 	return out, err
 }
 
+// UnionWords is Union for a caller that takes a dense answer as words:
+// where Union would OR the operands into its pooled word array and
+// drain it, UnionWords ORs them into fresh words and returns those
+// (nil docs); any other union comes back as Union's sorted docs (nil
+// words). The words are the caller's.
+func UnionWords(postings []core.Posting) ([]uint32, *Words, error) {
+	if len(postings) == 0 {
+		return nil, nil, nil
+	}
+	if _, native := postings[0].(core.Unioner); native && len(postings) > 1 {
+		if _, words := postings[0].(core.BucketProber); !words {
+			docs, err := unionSparse(postings, nil)
+			return docs, nil, err
+		}
+	}
+	a := getAccumulator()
+	docs, w, err := a.unionFresh(postings)
+	putAccumulator(a)
+	return docs, w, err
+}
+
 // unionSparse is Union's merge side: a native same-codec pair first,
 // then decompress-and-merge. decoded, when non-nil, holds the decodes
 // made while bounding the operands (nil entries for operands bounded

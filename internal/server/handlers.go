@@ -80,16 +80,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // SearchResponse is the one /search JSON shape, written by every mode
-// with AppendJSON and read back by shard.HTTPBackend with
+// with WriteJSON (AppendJSON's bytes) and read back by shard.HTTPBackend with
 // ParseSearchResponse (wire.go); its tags are the spec both follow.
 // TopK carries the pruning work counters for ranked queries, so callers
 // (and the load harness) can see how many blocks Block-Max-WAND
 // actually decoded, and how many segments or shards scored densely.
-// The last three fields appear only on a router's answers.
+// The last three fields appear only on a router's answers. Words, when
+// set, stands in for Docs: a dense answer's docids as a word array,
+// written as the "docs" member they make up.
 type SearchResponse struct {
 	Query          []string       `json:"query"`
 	Mode           string         `json:"mode"`
 	Docs           []uint32       `json:"docs,omitempty"`
+	Words          *ops.Words     `json:"-"`
 	Ranked         []index.Result `json:"ranked,omitempty"`
 	Matches        int            `json:"matches"`
 	TopK           *ops.TopKStats `json:"topk,omitempty"`
@@ -101,7 +104,7 @@ type SearchResponse struct {
 // parseSearch is the one /search validation: tokenize, term limit,
 // mode, k and its limit. Every refusal is an *index.BadRequest.
 func (s *Server) parseSearch(q url.Values) (index.Request, error) {
-	req := index.Request{Mode: q.Get("mode"), Terms: index.Tokenize(q.Get("q"))}
+	req := index.Request{Mode: q.Get("mode"), Terms: index.Tokenize(q.Get("q")), Words: true}
 	if len(req.Terms) == 0 {
 		return req, &index.BadRequest{Msg: "missing or empty q parameter"}
 	}
@@ -113,7 +116,7 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 		req.Mode = "and"
 	case "and", "or":
 	case "topk":
-		req.K = 10
+		req.K, req.Words = 10, false
 		if ks := q.Get("k"); ks != "" {
 			k, err := strconv.Atoi(ks)
 			if err != nil || k < 1 {
@@ -136,12 +139,13 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 // reload never changes the index mid-query and never unmaps bytes a
 // query is still reading. A partial answer from a router is still 200:
 // a dead shard is a documented subset ("shard 3 of 8 degraded, results
-// partial"), not a failed query. The answer is encoded once, by
-// AppendJSON into one buffer sized from it, and handed to the
-// connection as it is, with its Content-Length: the timeout middleware
-// passes writes through rather than copying them. A complete and/or
-// answer to a request that accepts PostingContentType is written as a
-// posting instead; nothing else about the request or answer changes.
+// partial"), not a failed query. A boolean request takes a dense answer
+// as words (index.Request.Words), which go to the wire as they are. The
+// JSON body streams through one pooled fixed-size chunk (WriteJSON),
+// with its Content-Length, and the timeout middleware passes writes
+// through rather than copying them. A complete and/or answer to a
+// request that accepts PostingContentType is written as a posting
+// instead; nothing else about the request or answer changes.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, err := s.parseSearch(r.URL.Query())
 	if err != nil {
@@ -162,22 +166,37 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Mode != "topk" && !ans.Partial && acceptsPosting(r.Header) {
 		// A Searcher's docids are sorted and distinct, so the encoder
 		// does not fail; if it ever did, the answer goes out as JSON.
-		if body, err := MarshalPosting(ans.Docs); err == nil {
+		if body, err := postingBody(ans); err == nil {
 			w.Header().Set("Vary", "Accept")
 			writeBody(w, PostingContentType, body)
 			return
 		}
 	}
 	matches := len(ans.Docs)
-	if req.Mode == "topk" {
+	switch {
+	case req.Mode == "topk":
 		matches = len(ans.Ranked)
+	case ans.Words != nil:
+		matches = ans.Words.Len()
 	}
 	resp := SearchResponse{
 		Query: req.Terms, Mode: req.Mode,
-		Docs: ans.Docs, Ranked: ans.Ranked, Matches: matches, TopK: ans.TopK,
+		Docs: ans.Docs, Words: ans.Words, Ranked: ans.Ranked, Matches: matches, TopK: ans.TopK,
 		Partial: ans.Partial, DegradedShards: ans.Degraded, Shards: ans.Shards,
 	}
-	writeBody(w, "application/json", resp.AppendJSON(nil))
+	chunk := chunkPool.Get().(*[ChunkSize]byte)
+	// A failed write means the client is gone; the logging middleware
+	// still records the status.
+	_ = resp.WriteJSON(w, chunk[:0])
+	chunkPool.Put(chunk)
+}
+
+// postingBody is a boolean answer as the body of a posting answer.
+func postingBody(ans index.Answer) ([]byte, error) {
+	if ans.Words != nil {
+		return MarshalPostingWords(*ans.Words), nil
+	}
+	return MarshalPosting(ans.Docs)
 }
 
 // writeBody answers 200 with body, its Content-Type and Content-Length.

@@ -294,14 +294,14 @@ func TestReloadInvalidatesPostingCache(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
 
-	// OR queries go through the decoded-posting cache; warm it.
-	rec, _ := get(t, h, "/search?q=compressed+bitmap&mode=or")
+	// Top-k queries go through the decoded-posting cache; warm it.
+	rec, _ := get(t, h, "/search?q=compressed+bitmap&mode=topk")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("warm-up search = %d", rec.Code)
 	}
 	warm := s.CacheStats()
 	if warm.Entries == 0 || warm.Misses == 0 {
-		t.Fatalf("cache not populated by OR query: %+v", warm)
+		t.Fatalf("cache not populated by top-k query: %+v", warm)
 	}
 
 	s.SetLoader(func() (*index.Index, error) { return buildIndex(t, testDocs...), nil })
@@ -314,7 +314,7 @@ func TestReloadInvalidatesPostingCache(t *testing.T) {
 
 	// The new index fills the cache again and serves hits from it.
 	for i := 0; i < 2; i++ {
-		if rec, _ := get(t, h, "/search?q=compressed+bitmap&mode=or"); rec.Code != http.StatusOK {
+		if rec, _ := get(t, h, "/search?q=compressed+bitmap&mode=topk"); rec.Code != http.StatusOK {
 			t.Fatalf("post-reload search = %d", rec.Code)
 		}
 	}
@@ -325,7 +325,7 @@ func TestReloadInvalidatesPostingCache(t *testing.T) {
 
 	// A disabled cache keeps the endpoints working with zero stats.
 	off := New(buildIndex(t, testDocs...), Config{CacheBytes: -1, Logger: quiet})
-	if rec, _ := get(t, off.Handler(), "/search?q=compressed&mode=or"); rec.Code != http.StatusOK {
+	if rec, _ := get(t, off.Handler(), "/search?q=compressed&mode=topk"); rec.Code != http.StatusOK {
 		t.Fatalf("cacheless search = %d", rec.Code)
 	}
 	if st := off.CacheStats(); st != (index.CacheStats{}) {
@@ -357,15 +357,15 @@ func TestTwoConsecutiveReloadsInvalidateCache(t *testing.T) {
 
 	markerDoc := func() float64 {
 		t.Helper()
-		rec, body := get(t, h, "/search?q=marker&mode=or")
+		rec, body := get(t, h, "/search?q=marker&mode=topk")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("search = %d", rec.Code)
 		}
-		docs := body["docs"].([]interface{})
+		docs := body["ranked"].([]interface{})
 		if len(docs) != 1 {
 			t.Fatalf("marker docs = %v", docs)
 		}
-		return docs[0].(float64)
+		return docs[0].(map[string]interface{})["Doc"].(float64)
 	}
 
 	// Warm the v0 generation: second query must be a cache hit.
@@ -393,18 +393,18 @@ func TestTwoConsecutiveReloadsInvalidateCache(t *testing.T) {
 				default:
 				}
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q=marker&mode=or", nil))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q=marker&mode=topk", nil))
 				if rec.Code != http.StatusOK {
 					t.Errorf("concurrent search = %d", rec.Code)
 					return
 				}
-				var body struct{ Docs []float64 }
+				var body struct{ Ranked []struct{ Doc float64 } }
 				if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
 					t.Errorf("concurrent search body: %v", err)
 					return
 				}
-				if len(body.Docs) != 1 || (body.Docs[0] != 0 && body.Docs[0] != 1 && body.Docs[0] != 2) {
-					t.Errorf("cross-generation result: %v", body.Docs)
+				if len(body.Ranked) != 1 || (body.Ranked[0].Doc != 0 && body.Ranked[0].Doc != 1 && body.Ranked[0].Doc != 2) {
+					t.Errorf("cross-generation result: %v", body.Ranked)
 					return
 				}
 			}
@@ -464,13 +464,13 @@ func TestTwoConsecutiveReloadsInvalidateCache(t *testing.T) {
 func TestStatsExposesPostingCache(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	get(t, h, "/search?q=compressed+bitmap&mode=or")
+	get(t, h, "/search?q=compressed+bitmap&mode=topk")
 	_, body := get(t, h, "/stats")
 	pc, ok := body["postingCache"].(map[string]interface{})
 	if !ok {
 		t.Fatalf("stats missing postingCache: %v", body)
 	}
 	if pc["entries"].(float64) == 0 {
-		t.Fatalf("postingCache shows no entries after OR query: %v", pc)
+		t.Fatalf("postingCache shows no entries after top-k query: %v", pc)
 	}
 }

@@ -6,14 +6,19 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
+	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/kernels"
+	"repro/internal/ops"
 )
 
 // The /search wire format is SearchResponse's encoding/json encoding:
@@ -30,7 +35,9 @@ import (
 // dst and returns the extended slice. It grows dst once, by the size of
 // the answer when its docids are sorted: every docid then has at most
 // as many digits as the last. Docids go through appendDocids, at gap
-// speed; ranked rows (at most k) through strconv.
+// speed; ranked rows (at most k) through strconv. Words is not
+// written: the handler streams every body with WriteJSON, and
+// AppendJSON is the reference its bodies are checked against.
 func (r *SearchResponse) AppendJSON(dst []byte) []byte {
 	// A ranked row is at most
 	// `{"Doc":4294967295,"Score":-9223372036854775808},`, 48 bytes.
@@ -43,10 +50,7 @@ func (r *SearchResponse) AppendJSON(dst []byte) []byte {
 	}
 	dst = slices.Grow(dst, n)
 
-	dst = append(dst, `{"query":`...)
-	dst = appendMarshal(dst, r.Query)
-	dst = append(dst, `,"mode":`...)
-	dst = appendMarshal(dst, r.Mode)
+	dst = r.appendHead(dst)
 	if len(r.Docs) > 0 {
 		dst = append(dst, `,"docs":[`...)
 		dst = appendDocids(dst, r.Docs)
@@ -58,14 +62,34 @@ func (r *SearchResponse) AppendJSON(dst []byte) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, `{"Doc":`...)
-			dst = strconv.AppendUint(dst, uint64(x.Doc), 10)
-			dst = append(dst, `,"Score":`...)
-			dst = strconv.AppendInt(dst, int64(x.Score), 10)
-			dst = append(dst, '}')
+			dst = appendRankedRow(dst, x)
 		}
 		dst = append(dst, ']')
 	}
+	return r.appendTail(dst)
+}
+
+// appendHead appends the members before "docs": the opening brace,
+// "query" and "mode".
+func (r *SearchResponse) appendHead(dst []byte) []byte {
+	dst = append(dst, `{"query":`...)
+	dst = appendMarshal(dst, r.Query)
+	dst = append(dst, `,"mode":`...)
+	return appendMarshal(dst, r.Mode)
+}
+
+// appendRankedRow appends one ranked row, {"Doc":N,"Score":M}.
+func appendRankedRow(dst []byte, x index.Result) []byte {
+	dst = append(dst, `{"Doc":`...)
+	dst = strconv.AppendUint(dst, uint64(x.Doc), 10)
+	dst = append(dst, `,"Score":`...)
+	dst = strconv.AppendInt(dst, int64(x.Score), 10)
+	return append(dst, '}')
+}
+
+// appendTail appends the members after "ranked", the closing brace and
+// the newline.
+func (r *SearchResponse) appendTail(dst []byte) []byte {
 	dst = append(dst, `,"matches":`...)
 	dst = strconv.AppendInt(dst, int64(r.Matches), 10)
 	if r.TopK != nil {
@@ -84,6 +108,232 @@ func (r *SearchResponse) AppendJSON(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(r.Shards), 10)
 	}
 	return append(dst, "}\n"...)
+}
+
+// ChunkSize is the capacity of the chunk the /search handler streams
+// every JSON body through, whatever the answer's size.
+const ChunkSize = 64 << 10
+
+// chunkPool holds the handler's chunks: each a fixed ChunkSize array,
+// so the pool's memory is bounded by the requests in flight, never by
+// the largest answer served.
+var chunkPool = sync.Pool{New: func() any { return new([ChunkSize]byte) }}
+
+// WriteJSON answers 200 with r's JSON body — AppendJSON's bytes, with
+// Words written as the docids they hold — with its Content-Type and
+// Content-Length, writing it to w through chunk:
+// the body is built in chunk[:cap(chunk)] and handed to w each time it
+// fills, so no buffer ever holds the whole body. The length is counted
+// before the first byte: the docids' text from the digit counts at the
+// powers of ten, by binary search over sorted Docs (a digit loop over
+// unsorted ones) or by popcount over Words. It is correct for any
+// chunk capacity; a capacity below about 64 bytes only costs writes
+// and allocations. Docs are checked for order, not assumed sorted: a
+// router's may come unchecked from a replica's JSON reply. The error is
+// the first failed write.
+func (r *SearchResponse) WriteJSON(w http.ResponseWriter, chunk []byte) error {
+	var tailStore [256]byte
+	tail := r.appendTail(tailStore[:0])
+	s := chunkWriter{w: w, buf: r.appendHead(chunk[:0])}
+	var count, text int
+	if r.Words != nil {
+		count, text = wordsText(*r.Words)
+	} else {
+		count, text = len(r.Docs), docsText(r.Docs)
+	}
+	n := len(s.buf) + rankedLen(r.Ranked) + len(tail)
+	if count > 0 {
+		n += len(`,"docs":[]`) + text
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	if count > 0 {
+		s.text(`,"docs":[`)
+		if r.Words != nil {
+			first := true
+			var scratch [wordBatch * 64]uint32
+			forWordBatches(*r.Words, &scratch, func(docs []uint32) {
+				s.docids(docs, first)
+				first = false
+			})
+		} else {
+			s.docids(r.Docs, true)
+		}
+		s.text("]")
+	}
+	if len(r.Ranked) > 0 {
+		s.text(`,"ranked":[`)
+		for i, x := range r.Ranked {
+			s.room(48)
+			if i > 0 {
+				s.buf = append(s.buf, ',')
+			}
+			s.buf = appendRankedRow(s.buf, x)
+		}
+		s.text("]")
+	}
+	s.room(len(tail))
+	s.buf = append(s.buf, tail...)
+	s.flush()
+	return s.err
+}
+
+// chunkWriter is WriteJSON's output: the bytes not yet handed to w,
+// in a buffer whose capacity is the chunk's.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// flush hands the buffered bytes to w. After a failed write the rest
+// of the body is dropped.
+func (s *chunkWriter) flush() {
+	if s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+}
+
+// room flushes unless n more bytes fit in the chunk.
+func (s *chunkWriter) room(n int) {
+	if cap(s.buf)-len(s.buf) < n {
+		s.flush()
+	}
+}
+
+// text appends t, flushing first unless it fits.
+func (s *chunkWriter) text(t string) {
+	s.room(len(t))
+	s.buf = append(s.buf, t...)
+}
+
+// docids appends docs as appendDocids writes them, preceded by a comma
+// unless first, as many at a time as the chunk has room for.
+func (s *chunkWriter) docids(docs []uint32, first bool) {
+	for len(docs) > 0 && s.err == nil {
+		k := s.fit(docs)
+		if k == 0 {
+			s.flush()
+			k = max(s.fit(docs), 1)
+		}
+		if !first {
+			s.buf = append(s.buf, ',')
+		}
+		s.buf = appendDocids(s.buf, docs[:k])
+		docs, first = docs[k:], false
+	}
+}
+
+// fit returns how many leading docids of docs appendDocids can write,
+// after a comma, into the chunk's free room without growing it: each
+// takes a comma and its digits, and the last store docidStore bytes. In
+// a sorted list none of the first free/2 docids is wider than the last
+// of them; an unsorted one may be, and then only costs appendDocids a
+// grown buffer.
+func (s *chunkWriter) fit(docs []uint32) int {
+	free := cap(s.buf) - len(s.buf) - docidStore
+	k := min(len(docs), free/2)
+	if k <= 0 {
+		return 0
+	}
+	return min(k, free/(1+decimalDigits(docs[k-1])))
+}
+
+// wordBatch is how many words forWordBatches extracts at a time: at
+// most 1024 values, 4 KiB of scratch.
+const wordBatch = 16
+
+// forWordBatches calls emit with w's values in increasing order,
+// extracted wordBatch words at a time into scratch; emit never sees an
+// empty batch.
+func forWordBatches(w ops.Words, scratch *[wordBatch * 64]uint32, emit func([]uint32)) {
+	for i := 0; i < len(w.W); i += wordBatch {
+		n := 0
+		for j, x := range w.W[i:min(i+wordBatch, len(w.W))] {
+			p := w.Base + uint32(i+j)<<6
+			for ; x != 0; x &= x - 1 {
+				// n stays below 64·wordBatch, a power of two: the mask
+				// changes no index and spares the bounds check.
+				scratch[n&(len(scratch)-1)] = p + uint32(bits.TrailingZeros64(x))
+				n++
+			}
+		}
+		if n > 0 {
+			emit(scratch[:n])
+		}
+	}
+}
+
+// docsText returns the length of docs' comma-separated decimal text.
+// A docid has one digit plus one for each power of ten from 10 to 10^9
+// it reaches, so over a sorted list the text is counted by one binary
+// search per power of ten; an unsorted one takes a digit loop.
+func docsText(docs []uint32) int {
+	if len(docs) == 0 {
+		return 0
+	}
+	n := 2*len(docs) - 1
+	if !slices.IsSorted(docs) {
+		for _, v := range docs {
+			n += decimalDigits(v) - 1
+		}
+		return n
+	}
+	for _, p := range pow10[1:] {
+		i, _ := slices.BinarySearch(docs, p)
+		n += len(docs) - i
+	}
+	return n
+}
+
+// wordsText returns the number of values in w and the length of their
+// comma-separated decimal text, from popcounts over the bit ranges that
+// the powers of ten cut w into: one pass over the words.
+func wordsText(w ops.Words) (count, n int) {
+	span := 64 * uint64(len(w.W))
+	from := uint64(0)
+	for d := 1; d <= len(pow10); d++ {
+		to := span
+		if d < len(pow10) {
+			to = min(span, uint64(pow10[d])-min(uint64(pow10[d]), uint64(w.Base)))
+		}
+		c := popcountRange(w.W, from, to)
+		count, n, from = count+c, n+d*c, to
+	}
+	if count > 0 {
+		n += count - 1
+	}
+	return count, n
+}
+
+// popcountRange counts the set bits of words at bit positions [from, to).
+func popcountRange(words []uint64, from, to uint64) int {
+	if from >= to {
+		return 0
+	}
+	i, j := from>>6, (to-1)>>6
+	lo, hi := ^uint64(0)<<(from&63), ^uint64(0)>>(63-(to-1)&63)
+	if i == j {
+		return bits.OnesCount64(words[i] & lo & hi)
+	}
+	return bits.OnesCount64(words[i]&lo) + kernels.PopcountWords(words[i+1:j]) + bits.OnesCount64(words[j]&hi)
+}
+
+// rankedLen returns the length of the "ranked" member, 0 when there is
+// none.
+func rankedLen(ranked []index.Result) int {
+	if len(ranked) == 0 {
+		return 0
+	}
+	n := len(`,"ranked":[]`) + len(ranked) - 1
+	for _, x := range ranked {
+		var b [20]byte
+		n += len(`{"Doc":,"Score":}`) + decimalDigits(x.Doc) + len(strconv.AppendInt(b[:0], int64(x.Score), 10))
+	}
+	return n
 }
 
 // docidStore is the width of the one store that writes a docid's
@@ -556,6 +806,12 @@ func MarshalPosting(docs []uint32) ([]byte, error) {
 	return p.(encoding.BinaryMarshaler).MarshalBinary()
 }
 
+// MarshalPostingWords returns the values of w as the body of a posting
+// answer: MarshalPosting(w.Docs())'s bytes, built from the words.
+func MarshalPostingWords(w ops.Words) []byte {
+	return bitmap.MarshalRoaringWords(w.W, w.Base)
+}
+
 // ParsePosting reads a posting answer's body back into its docids. The
 // body must be one whole bitmap.Roaring posting: another format tag, a
 // truncated container or bytes after the last one are refused by the
@@ -564,6 +820,36 @@ func MarshalPosting(docs []uint32) ([]byte, error) {
 // before anything is decoded, so a body within a size limit cannot
 // expand into gigabytes of docids.
 func ParsePosting(body []byte, maxDocs int) ([]uint32, error) {
+	p, err := decodePosting(body, maxDocs)
+	if err != nil {
+		return nil, err
+	}
+	return core.DecompressAppend(p, make([]uint32, 0, p.Len())), nil
+}
+
+// ParsePostingWords is ParsePosting for a caller that takes a dense
+// answer as words: when the posting's buckets are dense (ops.Dense),
+// its containers are ORed into words spanning them and no docid list is
+// made; otherwise the docids come back as from ParsePosting.
+func ParsePostingWords(body []byte, maxDocs int) ([]uint32, *ops.Words, error) {
+	p, err := decodePosting(body, maxDocs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if b, ok := p.(core.BucketProber); ok && b.NumBuckets() > 0 {
+		lo, hi := uint32(b.BucketKey(0))<<16, uint32(b.BucketKey(b.NumBuckets()-1))<<16|0xffff
+		if ops.Dense(p.Len(), lo, hi) {
+			w := &ops.Words{Base: lo, W: make([]uint64, int((hi-lo)>>6)+1)}
+			b.OrWordsInto(w.W, lo)
+			return nil, w, nil
+		}
+	}
+	return core.DecompressAppend(p, make([]uint32, 0, p.Len())), nil, nil
+}
+
+// decodePosting checks a posting body's header against maxDocs, then
+// decodes it.
+func decodePosting(body []byte, maxDocs int) (core.Posting, error) {
 	n, _, err := core.GetHeader(body, core.TagRoaring)
 	if err != nil {
 		return nil, fmt.Errorf("server: posting body: %w", err)
@@ -575,5 +861,5 @@ func ParsePosting(body []byte, maxDocs int) ([]uint32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: posting body: %w", err)
 	}
-	return core.DecompressAppend(p, make([]uint32, 0, p.Len())), nil
+	return p, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"slices"
 	"testing"
@@ -327,11 +328,15 @@ func FuzzAppendJSON(f *testing.F) {
 // sparse answer (every gap at least 280, so every docid is rendered
 // afresh); "encode-dense" is the mean served C300 OR, 215 000 docids
 // from 300 000, where nearly every docid is its predecessor's text
-// plus a carry. "posting" weighs the two encodings of a shard's answer
-// on the router's hop against each other: a routed OR's mean shard
-// answer (107 500 docids from 150 000) and a small one (3 000), each
-// encoded and decoded as JSON and as a Roaring posting, with the
-// body's bytes as the reported size.
+// plus a carry. "stream-dense" and "stream-words" write that answer as
+// the handler does, through one ChunkSize chunk into a discarding
+// writer, Content-Length pass included, from docids and from words.
+// "posting" weighs the two encodings of a shard's answer on the
+// router's hop against each other: a routed OR's mean shard answer
+// (107 500 docids from 150 000) and a small one (3 000), each encoded
+// and decoded as JSON and as a Roaring posting, with the body's bytes
+// as the reported size; "roaring-encode-words" builds the same posting
+// from the answer's words.
 func BenchmarkSearchWire(b *testing.B) {
 	r := server.SearchResponse{Query: []string{"a", "b"}, Mode: "or"}
 	for d := uint32(0); len(r.Docs) < 25000; d += 7 + d%13 {
@@ -353,6 +358,24 @@ func BenchmarkSearchWire(b *testing.B) {
 			dense.AppendJSON(nil)
 		}
 	})
+	// The handler's path: the same answer streamed through a ChunkSize
+	// chunk, from docids and from words, length pass included.
+	denseWords := server.SearchResponse{Query: dense.Query, Mode: "or", Words: wordsOf(dense.Docs, 0), Matches: dense.Matches}
+	for _, row := range []struct {
+		name string
+		r    server.SearchResponse
+	}{{"stream-dense", dense}, {"stream-words", denseWords}} {
+		b.Run(row.name, func(b *testing.B) {
+			w := discardResponse{header: http.Header{}}
+			chunk := make([]byte, 0, server.ChunkSize)
+			b.SetBytes(int64(len(dense.AppendJSON(nil))))
+			for i := 0; i < b.N; i++ {
+				if err := row.r.WriteJSON(w, chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
@@ -391,6 +414,13 @@ func BenchmarkSearchWire(b *testing.B) {
 				}
 			}
 		})
+		words := *wordsOf(shard.Docs, 0)
+		b.Run(name+"roaring-encode-words", func(b *testing.B) {
+			b.SetBytes(int64(len(posting)))
+			for i := 0; i < b.N; i++ {
+				server.MarshalPostingWords(words)
+			}
+		})
 		b.Run(name+"roaring-decode", func(b *testing.B) {
 			b.SetBytes(int64(len(posting)))
 			for i := 0; i < b.N; i++ {
@@ -401,3 +431,10 @@ func BenchmarkSearchWire(b *testing.B) {
 		})
 	}
 }
+
+// discardResponse is an http.ResponseWriter that drops the body.
+type discardResponse struct{ header http.Header }
+
+func (w discardResponse) Header() http.Header       { return w.header }
+func (discardResponse) WriteHeader(int)             {}
+func (discardResponse) Write(p []byte) (int, error) { return len(p), nil }

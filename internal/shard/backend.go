@@ -73,7 +73,9 @@ func (b *IndexBackend) Search(ctx context.Context, req Request) (index.Answer, e
 // HTTPBackend answers queries by calling a bvserve replica's /search
 // endpoint. It asks for a boolean answer as a posting
 // (server.PostingContentType) and reads whichever encoding the reply's
-// Content-Type names: a posting with server.ParsePosting, JSON — every
+// Content-Type names: a posting with server.ParsePosting — or, for a
+// request that takes words, server.ParsePostingWords, so a dense reply
+// becomes words with no docid list — JSON — every
 // top-k answer and error, and any answer from a front that does not
 // know the posting — with server.ParseSearchResponse. So any bvserve,
 // local process or remote machine, can stand behind the router
@@ -142,11 +144,16 @@ func (b *HTTPBackend) Search(ctx context.Context, req Request) (index.Answer, er
 		if resp.StatusCode != http.StatusOK || req.Mode == "topk" {
 			return index.Answer{}, fmt.Errorf("shard: %s: /search (%s): unexpected posting answer to mode %q", b.Base, resp.Status, req.Mode)
 		}
-		docs, err := server.ParsePosting(body, maxPostingDocs)
+		var a index.Answer
+		if req.Words {
+			a.Docs, a.Words, err = server.ParsePostingWords(body, maxPostingDocs)
+		} else {
+			a.Docs, err = server.ParsePosting(body, maxPostingDocs)
+		}
 		if err != nil {
 			return index.Answer{}, fmt.Errorf("shard: %s: bad /search posting: %w", b.Base, err)
 		}
-		return index.Answer{Docs: docs}, nil
+		return a, nil
 	}
 	wire, errMsg, perr := server.ParseSearchResponse(body)
 	if perr != nil {

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +64,7 @@ type replica struct {
 // and the counters /stats exposes.
 type shardState struct {
 	id        int
+	maxLocal  uint32 // the largest local docid GlobalID maps without wrapping
 	replicas  []*replica
 	lat       hist.Histogram // per-query completion latency (first success)
 	hedged    atomic.Int64   // backup attempts fired
@@ -161,6 +165,9 @@ func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) 
 				}
 			}()
 			res, err := r.backend.Search(ctx, req)
+			if err == nil {
+				err = s.checkLocal(res, r.backend)
+			}
 			ch <- attempt{res: res, err: err, backup: backup}
 		}()
 	}
@@ -235,6 +242,28 @@ func (s *shardState) search(ctx context.Context, req Request, cfg RouterConfig) 
 	}
 }
 
+// checkLocal refuses an answer holding a local docid above s.maxLocal,
+// which GlobalID would wrap onto another shard's document: the replica
+// has failed, and the leg fails over or degrades the shard.
+func (s *shardState) checkLocal(a index.Answer, b Backend) error {
+	top := uint32(0)
+	for _, d := range a.Docs {
+		top = max(top, d)
+	}
+	if a.Words != nil {
+		if _, hi, ok := a.Words.Bounds(); ok {
+			top = max(top, hi)
+		}
+	}
+	for _, x := range a.Ranked {
+		top = max(top, x.Doc)
+	}
+	if top > s.maxLocal {
+		return fmt.Errorf("shard: %s answered local docid %d, above shard %d's largest %d", b.Name(), top, s.id, s.maxLocal)
+	}
+	return nil
+}
+
 // Router fans queries out to every shard in parallel and merges the
 // per-shard answers exactly. One Router is safe for concurrent use.
 type Router struct {
@@ -255,7 +284,7 @@ func NewRouter(cfg RouterConfig, replicas [][]Backend) (*Router, error) {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("shard: shard %d has no replicas", i)
 		}
-		st := &shardState{id: i}
+		st := &shardState{id: i, maxLocal: (math.MaxUint32 - uint32(i)) / uint32(len(replicas))}
 		for _, b := range reps {
 			st.replicas = append(st.replicas, &replica{backend: b})
 		}
@@ -275,7 +304,9 @@ func (r *Router) Shards() int { return len(r.shards) }
 // that answered. It fails only when every shard fails or the request
 // itself is bad; any partial set of responses yields a Merged with
 // Partial set and the dead shards listed. Backends' answers are mapped
-// to global ids in place — a Backend must return slices it owns.
+// to global ids in place — a Backend must return slices it owns. With
+// req.Words set, a dense boolean answer is merged as words
+// (mergeWords).
 func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
 	r.queries.Add(1)
 	n := len(r.shards)
@@ -293,7 +324,7 @@ func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
 
 	m := Merged{Shards: n}
 	var stats ops.TopKStats
-	docs := make([][]uint32, 0, n)
+	answered := make([]int, 0, n)
 	ranked := make([][]index.Result, 0, n)
 	for s, a := range answers {
 		var bad *index.BadRequest
@@ -308,13 +339,10 @@ func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
 			m.Degraded = append(m.Degraded, s)
 			continue
 		}
-		for i := range a.Docs {
-			a.Docs[i] = GlobalID(a.Docs[i], s, n)
-		}
+		answered = append(answered, s)
 		for i := range a.Ranked {
 			a.Ranked[i].Doc = GlobalID(a.Ranked[i].Doc, s, n)
 		}
-		docs = append(docs, a.Docs)
 		ranked = append(ranked, a.Ranked)
 		if a.TopK != nil {
 			stats.Add(*a.TopK)
@@ -326,12 +354,119 @@ func (r *Router) Search(ctx context.Context, req Request) (Merged, error) {
 	if m.Partial {
 		r.partial.Add(1)
 	}
-	if req.Mode == "topk" {
+	switch {
+	case req.Mode == "topk":
 		m.Ranked, m.TopK = ops.MergeRanked(ranked, req.K), &stats
-	} else {
-		m.Docs = ops.UnionMany(docs)
+	case req.Words:
+		if m.Words = mergeWords(answers, answered, n); m.Words == nil {
+			m.Docs = mergeDocs(answers, answered, n)
+		}
+	default:
+		m.Docs = mergeDocs(answers, answered, n)
 	}
 	return m, nil
+}
+
+// mergeDocs maps every answering shard's docids to global ids in place
+// (a shard's words become docids first) and unions them.
+func mergeDocs(answers []index.Answer, answered []int, n int) []uint32 {
+	docs := make([][]uint32, 0, len(answered))
+	for _, s := range answered {
+		d := answers[s].Docs
+		if answers[s].Words != nil {
+			d = answers[s].Words.Docs()
+		}
+		for i := range d {
+			d[i] = GlobalID(d[i], s, n)
+		}
+		docs = append(docs, d)
+	}
+	return ops.UnionMany(docs)
+}
+
+// mergeWords ORs every answering shard's docids, in global ids, into
+// one word array, and returns it when the union is dense (ops.Dense);
+// nil otherwise, for mergeDocs. A shard's words are spread at stride n
+// (orShardWords: for n = 2 a 32→64-bit interleave per word), and its
+// docids, from a JSON reply or a sparse answer, set their bits
+// directly. No shard's answer becomes a docid list.
+func mergeWords(answers []index.Answer, answered []int, n int) *ops.Words {
+	total, lo, hi := 0, uint32(math.MaxUint32), uint32(0)
+	for _, s := range answered {
+		a := answers[s]
+		var l, h uint32
+		switch {
+		case a.Words != nil:
+			var ok bool
+			if l, h, ok = a.Words.Bounds(); !ok {
+				continue
+			}
+			total += a.Words.Len()
+		case len(a.Docs) > 0:
+			l, h = slices.Min(a.Docs), slices.Max(a.Docs)
+			total += len(a.Docs)
+		default:
+			continue
+		}
+		lo, hi = min(lo, GlobalID(l, s, n)), max(hi, GlobalID(h, s, n))
+	}
+	if !ops.Dense(total, lo, hi) {
+		return nil
+	}
+	base := lo &^ 0xffff
+	out := make([]uint64, int((hi-base)>>6)+1)
+	for _, s := range answered {
+		if a := answers[s]; a.Words != nil {
+			orShardWords(out, base, *a.Words, s, n)
+		} else {
+			for _, d := range a.Docs {
+				setGlobal(out, base, GlobalID(d, s, n))
+			}
+		}
+	}
+	return &ops.Words{Base: base, W: out}
+}
+
+// setGlobal sets global docid g's bit in out, whose bit 0 is base.
+func setGlobal(out []uint64, base, g uint32) {
+	g -= base
+	out[g>>6] |= 1 << (g & 63)
+}
+
+// orShardWords ORs shard s of n's words w into out, whose bit 0 is
+// global docid base. Local docid v is global nv+s. For n = 2 local
+// word j spreads into two global words: its low 32 bits onto the even
+// (s = 0) or odd (s = 1) bits of the first, its high 32 bits onto the
+// second; both bases are multiples of 2^16, so the first lands at a
+// whole word, (2·w.Base − base)/64 + 2j, at or after out[0] for any
+// non-zero word. Any other n places the set bits one by one.
+func orShardWords(out []uint64, base uint32, w ops.Words, s, n int) {
+	off := (int64(n)*int64(w.Base) - int64(base)) / 64 // whole for n = 2
+	for j, x := range w.W {
+		switch {
+		case x == 0:
+		case n == 2:
+			i := off + 2*int64(j)
+			out[i] |= spread(uint32(x)) << s
+			if h := uint32(x >> 32); h != 0 {
+				out[i+1] |= spread(h) << s
+			}
+		default:
+			for ; x != 0; x &= x - 1 {
+				setGlobal(out, base, GlobalID(w.Base+uint32(j)<<6+uint32(bits.TrailingZeros64(x)), s, n))
+			}
+		}
+	}
+}
+
+// spread moves bit i of x to bit 2i of the result.
+func spread(x uint32) uint64 {
+	v := uint64(x)
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	return (v | v<<1) & 0x5555555555555555
 }
 
 // ReplicaStats is one replica's load gauge, for /stats.
