@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net/http/httptest"
 	"slices"
 	"strconv"
@@ -115,6 +116,14 @@ func FuzzWriteJSONWords(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0, 7, 255, 1, 1, 1, 250, 3})
 	f.Add([]byte{0x98, 0x96, 63, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add([]byte{0x3b, 0x9a, 200, 0, 0, 0, 200, 201})
+	// Runs of 300 consecutive docids across 10^7 (where the text
+	// outgrows one 8-byte word) and 10^9, and ending at 2^32−1; the
+	// first 150 docids from 0; every other docid from 1 to 159.
+	f.Add(append([]byte{0x00, 0x98, 15, 208, 199, 199, 199, 199, 199, 199, 199, 113}, make([]byte, 300)...))
+	f.Add(append([]byte{0x3b, 0x9a, 255, 211, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 9}, make([]byte, 300)...))
+	f.Add(append([]byte{0xff, 0xff, 6, 214, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 199, 195}, make([]byte, 300)...))
+	f.Add(make([]byte, 153))
+	f.Add(append([]byte{0, 0, 6}, bytes.Repeat([]byte{1}, 80)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -148,4 +157,81 @@ func FuzzWriteJSONWords(f *testing.F) {
 			t.Fatalf("docs %v: streamed (declared %d)\n%s\nAppendJSON\n%s", docs, n, got, want)
 		}
 	})
+}
+
+// docidTextSets are the docid sets the renderer's edges are checked
+// over, strictly sorted: each 10^k from 10 to 10^9 ±150 (the width
+// changes there; 10^7 is also where a docid's text stops fitting in
+// one 8-byte word), and the 300 docids ending at 2^32−1, each walked
+// at strides 1, 3, 64 and 97. Runs of 300 cross word boundaries inside
+// hundreds (64 does not divide 100), and the sets at 10 and 100 start
+// in the first word with docids below 100.
+func docidTextSets() [][]uint32 {
+	var ranges [][2]uint64
+	for p := uint64(10); p <= 1e9; p *= 10 {
+		ranges = append(ranges, [2]uint64{p - min(p, 150), p + 150})
+	}
+	ranges = append(ranges, [2]uint64{math.MaxUint32 - 299, math.MaxUint32})
+	var sets [][]uint32
+	for _, r := range ranges {
+		for _, stride := range []uint64{1, 3, 64, 97} {
+			var docs []uint32
+			for d := r[0]; d <= r[1]; d += stride {
+				docs = append(docs, uint32(d))
+			}
+			sets = append(sets, docs)
+		}
+	}
+	return sets
+}
+
+// TestDocidTextEdges: both walks of the docid renderer — Docs in any
+// order, and Words — stream through chunks of 1, 7, 1 040 (one word's
+// worst case plus a little) and ChunkSize bytes to the body whose
+// docids are strconv.AppendUint's, comma-joined, under the right
+// Content-Length; AppendJSON writes the same. Every set of
+// docidTextSets goes as Docs and as Words, and again as Docs reversed
+// and with every third docid repeated.
+func TestDocidTextEdges(t *testing.T) {
+	for i, docs := range docidTextSets() {
+		var dup []uint32
+		for j, d := range docs {
+			dup = append(dup, d)
+			if j%3 == 0 {
+				dup = append(dup, d)
+			}
+		}
+		rev := slices.Clone(docs)
+		slices.Reverse(rev)
+		rows := []server.SearchResponse{
+			{Docs: docs}, {Words: wordsOf(docs, i%3)}, {Docs: rev}, {Docs: dup},
+		}
+		for j, row := range rows {
+			list := row.Docs
+			if row.Words != nil {
+				list = docs
+			}
+			want := []byte(`{"query":["edge"],"mode":"or","docs":[`)
+			for k, d := range list {
+				if k > 0 {
+					want = append(want, ',')
+				}
+				want = strconv.AppendUint(want, uint64(d), 10)
+			}
+			want = append(want, `],"matches":`...)
+			want = append(strconv.AppendInt(want, int64(len(list)), 10), "}\n"...)
+			row.Query, row.Mode, row.Matches = []string{"edge"}, "or", len(list)
+			if row.Words == nil {
+				if got := row.AppendJSON(nil); !bytes.Equal(got, want) {
+					t.Fatalf("set %d/%d: AppendJSON\n%s\nwant\n%s", i, j, got, want)
+				}
+			}
+			for _, c := range []int{1, 7, 1040, server.ChunkSize} {
+				got, n := streamed(t, row, c)
+				if !bytes.Equal(got, want) || n != len(got) {
+					t.Fatalf("set %d/%d, chunk %d: streamed (declared %d)\n%s\nwant\n%s", i, j, c, n, got, want)
+				}
+			}
+		}
+	}
 }

@@ -126,11 +126,13 @@ var chunkPool = sync.Pool{New: func() any { return new([ChunkSize]byte) }}
 // fills, so no buffer ever holds the whole body. The length is counted
 // before the first byte: the docids' text from the digit counts at the
 // powers of ten, by binary search over sorted Docs (a digit loop over
-// unsorted ones) or by popcount over Words. It is correct for any
-// chunk capacity; a capacity below about 64 bytes only costs writes
-// and allocations. Docs are checked for order, not assumed sorted: a
-// router's may come unchecked from a replica's JSON reply. The error is
-// the first failed write.
+// unsorted ones) or by popcount over Words. Docs are rendered by
+// appendDocids, Words word by word straight into the chunk, both by
+// the one docid renderer (see hundred). It is
+// correct for any chunk capacity; a capacity below about 64 bytes only
+// costs writes and allocations. Docs are checked for order, not
+// assumed sorted: a router's may come unchecked from a replica's JSON
+// reply. The error is the first failed write.
 func (r *SearchResponse) WriteJSON(w http.ResponseWriter, chunk []byte) error {
 	var tailStore [256]byte
 	tail := r.appendTail(tailStore[:0])
@@ -150,16 +152,12 @@ func (r *SearchResponse) WriteJSON(w http.ResponseWriter, chunk []byte) error {
 	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
 	if count > 0 {
-		s.text(`,"docs":[`)
 		if r.Words != nil {
-			first := true
-			var scratch [wordBatch * 64]uint32
-			forWordBatches(*r.Words, &scratch, func(docs []uint32) {
-				s.docids(docs, first)
-				first = false
-			})
+			s.text(`,"docs":`)
+			s.words(*r.Words)
 		} else {
-			s.docids(r.Docs, true)
+			s.text(`,"docs":[`)
+			s.docids(r.Docs)
 		}
 		s.text("]")
 	}
@@ -181,7 +179,8 @@ func (r *SearchResponse) WriteJSON(w http.ResponseWriter, chunk []byte) error {
 }
 
 // chunkWriter is WriteJSON's output: the bytes not yet handed to w,
-// in a buffer whose capacity is the chunk's.
+// in a buffer whose capacity is the chunk's. The capacity is never 0:
+// the head WriteJSON renders first grows an empty chunk.
 type chunkWriter struct {
 	w   io.Writer
 	buf []byte
@@ -210,10 +209,10 @@ func (s *chunkWriter) text(t string) {
 	s.buf = append(s.buf, t...)
 }
 
-// docids appends docs as appendDocids writes them, preceded by a comma
-// unless first, as many at a time as the chunk has room for.
-func (s *chunkWriter) docids(docs []uint32, first bool) {
-	for len(docs) > 0 && s.err == nil {
+// docids appends docs as appendDocids writes them, as many at a time
+// as the chunk has room for.
+func (s *chunkWriter) docids(docs []uint32) {
+	for first := true; len(docs) > 0 && s.err == nil; first = false {
 		k := s.fit(docs)
 		if k == 0 {
 			s.flush()
@@ -223,7 +222,7 @@ func (s *chunkWriter) docids(docs []uint32, first bool) {
 			s.buf = append(s.buf, ',')
 		}
 		s.buf = appendDocids(s.buf, docs[:k])
-		docs, first = docs[k:], false
+		docs = docs[k:]
 	}
 }
 
@@ -242,28 +241,54 @@ func (s *chunkWriter) fit(docs []uint32) int {
 	return min(k, free/(1+decimalDigits(docs[k-1])))
 }
 
-// wordBatch is how many words forWordBatches extracts at a time: at
-// most 1024 values, 4 KiB of scratch.
-const wordBatch = 16
+// wordText is the room renderWord needs for one word: 64 docids, each
+// written by a store of at most docidStore bytes.
+const wordText = 64 * docidStore
 
-// forWordBatches calls emit with w's values in increasing order,
-// extracted wordBatch words at a time into scratch; emit never sees an
-// empty batch.
-func forWordBatches(w ops.Words, scratch *[wordBatch * 64]uint32, emit func([]uint32)) {
-	for i := 0; i < len(w.W); i += wordBatch {
-		n := 0
-		for j, x := range w.W[i:min(i+wordBatch, len(w.W))] {
-			p := w.Base + uint32(i+j)<<6
-			for ; x != 0; x &= x - 1 {
-				// n stays below 64·wordBatch, a power of two: the mask
-				// changes no index and spares the bounds check.
-				scratch[n&(len(scratch)-1)] = p + uint32(bits.TrailingZeros64(x))
-				n++
-			}
+// words appends w's values as the docids array's text after its
+// opening: each value's ",digits", with the first comma made the '['
+// that opens the array. Each word is rendered straight into the chunk,
+// which is flushed first unless a word's wordText bytes fit; a chunk
+// too small for that takes each word rendered into a stack scratch,
+// copied through it.
+func (s *chunkWriter) words(w ops.Words) {
+	var scratch [wordText]byte
+	h := hundred{first: noHundred}
+	open := true
+	for i, x := range w.W {
+		if s.err != nil {
+			return
 		}
-		if n > 0 {
-			emit(scratch[:n])
+		if x == 0 {
+			continue
 		}
+		s.room(wordText)
+		b := &scratch
+		if cap(s.buf) >= wordText {
+			b = (*[wordText]byte)(s.buf[len(s.buf):cap(s.buf)])
+		}
+		var n int
+		n, h = renderWord(b, x, uint64(w.Base)+uint64(i)<<6, h)
+		if open {
+			b[0], open = '[', false
+		}
+		if b == &scratch {
+			s.write(scratch[:n])
+		} else {
+			s.buf = s.buf[:len(s.buf)+n]
+		}
+	}
+}
+
+// write appends b, handing the chunk to w each time it fills.
+func (s *chunkWriter) write(b []byte) {
+	for {
+		k := copy(s.buf[len(s.buf):cap(s.buf)], b)
+		s.buf = s.buf[:len(s.buf)+k]
+		if b = b[k:]; len(b) == 0 {
+			return
+		}
+		s.flush()
 	}
 }
 
@@ -336,51 +361,200 @@ func rankedLen(ranked []index.Result) int {
 	return n
 }
 
-// docidStore is the width of the one store that writes a docid's
-// text: a comma and up to 10 digits, as two 8-byte words.
+// docidStore is the width of the store that writes a docid's text
+// when it is not one 8-byte word: a comma and up to 10 digits, as two
+// 8-byte words.
 const docidStore = 16
 
+// The renderer of docid text, shared by appendDocids (a []uint32, in
+// any order) and renderWord (the values of a word). Its state is
+// a hundred: the ",digits" text of the hundred the last docid fell in,
+// with the last two digits zero. Every docid in that hundred is the
+// same text with its last two digits filled in, and a hundred from 100
+// up has one width, since every power of ten from 100 up is a multiple
+// of 100. Below 10^7 the text (a comma and at most 7 digits, narrowText
+// bytes) fits in one word, so such a docid costs one 8-byte store of the
+// template ORed with a digit pair from narrowPairs, already shifted
+// for the width. A wider docid costs a docidStore-byte store of the
+// template and a 2-byte store of its pair. A docid outside the hundred
+// goes to renderDocid, which renders it afresh and enters its hundred.
+
+// hundred is the renderer's state.
+type hundred struct {
+	lo, hi uint64 // the template: bytes 0–7 and 8–15, little-endian
+	first  uint64 // the hundred's first docid, or noHundred
+	n      int    // the text's length, a comma and the digits
+}
+
+// noHundred is the first docid of the state before any docid and after
+// one below 100, whose hundred holds docids of two widths: no docid is
+// within 100 above it, so the next one is rendered afresh.
+const noHundred = 1 << 63
+
+// narrowText is the longest docid text one 8-byte store writes: a
+// comma and 7 digits, the docids below 10^7.
+const narrowText = 8
+
+// narrowPairs[k][r] is r's two-digit text, "00" to "99", shifted to
+// where it ends a k-digit docid's ",digits" text held as a
+// little-endian word: bytes k−1 and k. Rows 3 to 7 are used.
+var narrowPairs = func() (t [8][100]uint64) {
+	for k := 3; k < len(t); k++ {
+		for r := range t[k] {
+			t[k][r] = uint64('0'+r/10)<<(8*(k-1)) | uint64('0'+r%10)<<(8*k)
+		}
+	}
+	return t
+}()
+
+// pairsFor returns the row of narrowPairs for h's width. A wide or
+// empty hundred gets a row the narrow store never reads.
+func pairsFor(h hundred) *[100]uint64 {
+	return &narrowPairs[(h.n-1)&7]
+}
+
+// narrow writes the text of docid h.first+r, for a hundred below
+// 10^7, at out[pos:] with one 8-byte store, and returns the
+// position after it. pairs is pairsFor(h).
+func (h hundred) narrow(out []byte, pos int, pairs *[100]uint64, r uint64) int {
+	binary.LittleEndian.PutUint64(out[pos:], h.lo|pairs[r])
+	return pos + h.n
+}
+
+// wide writes the text of docid h.first+r, for a hundred of any
+// width, at out[pos:] with a docidStore-byte store and a 2-byte store, and
+// returns the position after it.
+func (h hundred) wide(out []byte, pos int, r uint64) int {
+	binary.LittleEndian.PutUint64(out[pos:], h.lo)
+	binary.LittleEndian.PutUint64(out[pos+8:], h.hi)
+	*(*[2]byte)(out[pos+h.n-2:]) = docidPairs[r]
+	return pos + h.n
+}
+
+// renderDocid writes d's ",digits" text at out[pos:], which must have
+// docidStore bytes of room, and returns the position after the text
+// and d's hundred. It renders the hundred's
+// template first and then writes d as wide does. It is the renderer's
+// slow path, taken once per hundred entered, and stays out of line so
+// that the loops calling it keep their state in registers.
+//
+//go:noinline
+func renderDocid(out []byte, pos int, d uint64) (int, hundred) {
+	v := uint32(d)
+	n := 1 + decimalDigits(v)
+	t := [docidStore]byte{','}
+	if v < 100 {
+		if v >= 10 {
+			*(*[2]byte)(t[1:]) = docidPairs[v]
+		} else {
+			t[1] = byte('0' + v)
+		}
+		*(*[docidStore]byte)(out[pos:]) = t
+		return pos + n, hundred{first: noHundred}
+	}
+	u, r := v/100, v%100
+	i := n - 4
+	for ; u >= 100; i -= 2 {
+		q := u / 100
+		*(*[2]byte)(t[i:]) = docidPairs[u-100*q]
+		u = q
+	}
+	if u >= 10 {
+		*(*[2]byte)(t[i:]) = docidPairs[u]
+	} else {
+		t[i+1] = byte('0' + u)
+	}
+	h := hundred{
+		lo:    binary.LittleEndian.Uint64(t[:8]),
+		hi:    binary.LittleEndian.Uint64(t[8:]),
+		first: d - uint64(r),
+		n:     n,
+	}
+	return h.wide(out, pos, uint64(r)), h
+}
+
 // appendDocids appends docs in decimal, comma-separated, as
-// encoding/json writes a []uint32, handling a sorted list by its gaps.
-// It keeps the last rendered docid's ",digits" text in two registers.
-// Each docid that follows in the same hundred — a gap that carries at
-// most from the units into the tens, which is nearly every step of a
-// dense answer — is that text with its last two digits replaced: one
-// docidStore-byte store of the registers and a 2-byte store of the
-// digits from docidPairs. Any other docid (a carry into the hundreds,
-// a step down out of the hundred, one below 100) is rendered afresh
-// and starts a new run. Each store's tail is overwritten by the next,
-// so the loop makes room for the store itself and is correct whatever
-// capacity dst arrives with.
+// encoding/json writes a []uint32: the first by strconv, the rest by
+// the renderer. Sorted or not, duplicated or not, every docid is
+// either in the hundred of the one before it or rendered afresh. The
+// docids go in batches that the room left takes at docidStore bytes
+// each, growing dst when not one fits, so the loop is correct whatever
+// capacity dst arrives with; within a batch, the loop over a hundred's
+// run has no call and no room check.
 func appendDocids(dst []byte, docs []uint32) []byte {
 	dst = strconv.AppendUint(dst, uint64(docs[0]), 10)
 	pos, out := len(dst), dst[:cap(dst)]
-	lo, hi, n := docidText(docs[0])
-	for i := 1; ; i++ {
-		if d := docs[i-1]; d >= 100 {
-			// In 64 bits, a docid below the block wraps far above it.
-			block := uint64(d - d%100)
-			for ; i < len(docs) && uint64(docs[i])-block < 100; i++ {
-				if len(out)-pos < docidStore {
-					out = growDocids(out, pos, len(docs)-i)
-				}
-				binary.LittleEndian.PutUint64(out[pos:], lo)
-				binary.LittleEndian.PutUint64(out[pos+8:], hi)
-				*(*[2]byte)(out[pos+n-2:]) = docidPairs[uint64(docs[i])-block]
-				pos += n
-			}
-		}
-		if i == len(docs) {
-			return out[:pos]
-		}
-		lo, hi, n = docidText(docs[i])
+	h := hundred{first: noHundred}
+	for i := 1; i < len(docs); {
 		if len(out)-pos < docidStore {
 			out = growDocids(out, pos, len(docs)-i)
 		}
-		binary.LittleEndian.PutUint64(out[pos:], lo)
-		binary.LittleEndian.PutUint64(out[pos+8:], hi)
-		pos += n
+		batch := docs[:min(len(docs), i+(len(out)-pos)/docidStore)]
+		for i < len(batch) {
+			if d := uint64(batch[i]); d-h.first >= 100 {
+				pos, h = renderDocid(out, pos, d)
+				i++
+				continue
+			}
+			if h.n <= narrowText {
+				pairs := pairsFor(h)
+				for ; i < len(batch); i++ {
+					r := uint64(batch[i]) - h.first
+					if r >= 100 {
+						break
+					}
+					pos = h.narrow(out, pos, pairs, r)
+				}
+			} else {
+				for ; i < len(batch); i++ {
+					r := uint64(batch[i]) - h.first
+					if r >= 100 {
+						break
+					}
+					pos = h.wide(out, pos, r)
+				}
+			}
+		}
 	}
+	return out[:pos]
+}
+
+// renderWord writes at the start of b the ",digits" text of x's
+// values, p plus the position of each set bit, and returns its length
+// and the renderer's state. A word meets at most two hundreds, since
+// 64 < 100: each is one run of x's bits, cut off by a mask, and written
+// by a loop with no branch but its own, one store per docid below
+// 10^7 and two plus a pair store above it. Only the first
+// docid of a hundred not yet entered goes to renderDocid.
+func renderWord(b *[wordText]byte, x, p uint64, h hundred) (int, hundred) {
+	out, j := b[:], 0
+	for x != 0 {
+		if d := p + uint64(bits.TrailingZeros64(x)); d-h.first >= 100 {
+			j, h = renderDocid(out, j, d)
+			if x &= x - 1; h.first == noHundred {
+				continue
+			}
+		}
+		run := x
+		if e := h.first + 100 - p; e < 64 {
+			run &= 1<<e - 1
+		}
+		x &^= run
+		q := p - h.first
+		if h.n <= narrowText {
+			// j stays below 8·64, so the mask changes no index and
+			// spares the bounds check.
+			pairs := pairsFor(h)
+			for ; run != 0; run &= run - 1 {
+				j = h.narrow(out, j&(wordText/2-1), pairs, q+uint64(bits.TrailingZeros64(run)))
+			}
+		} else {
+			for ; run != 0; run &= run - 1 {
+				j = h.wide(out, j, q+uint64(bits.TrailingZeros64(run)))
+			}
+		}
+	}
+	return j, h
 }
 
 // growDocids is appendDocids's slow path, for a size hint that was
@@ -389,26 +563,6 @@ func appendDocids(dst []byte, docs []uint32) []byte {
 func growDocids(out []byte, pos, rest int) []byte {
 	out = slices.Grow(out[:pos], docidStore+11*rest)
 	return out[:cap(out)]
-}
-
-// docidText renders ",v" and returns it as appendDocids holds it: the
-// text's first 16 bytes as two little-endian words, and its length.
-func docidText(v uint32) (lo, hi uint64, n int) {
-	var t [docidStore]byte
-	t[0] = ','
-	n = 1 + decimalDigits(v)
-	i := n - 2
-	for ; v >= 100; i -= 2 {
-		q := v / 100
-		*(*[2]byte)(t[i:]) = docidPairs[v-100*q]
-		v = q
-	}
-	if v >= 10 {
-		*(*[2]byte)(t[i:]) = docidPairs[v]
-	} else {
-		t[i+1] = byte('0' + v)
-	}
-	return binary.LittleEndian.Uint64(t[:8]), binary.LittleEndian.Uint64(t[8:]), n
 }
 
 // docidPairs holds the two-digit text of 0 to 99, "00" to "99".

@@ -312,6 +312,15 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Add([]byte{1, 0, 0xff, 0x80, 7, 3, 200})
 	f.Add([]byte{2, 20, 19, 0, 1, 0x80, 0x7f, 20, 20, 3})
 	f.Add([]byte{14, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0, 0, 0x7f, 1, 2, 3, 4, 0x41, 5})
+	// Consecutive docids from 10^5, and across 10^7 (where the text
+	// outgrows one 8-byte word), 10^9 and 2^32−1 (wrapping to 0); small
+	// gaps from 0; unsorted and repeated edges.
+	f.Add(append([]byte{0, 10}, bytes.Repeat([]byte{1}, 150)...))
+	f.Add(append([]byte{0, 161}, bytes.Repeat([]byte{1}, 20)...))
+	f.Add(append([]byte{0, 228}, bytes.Repeat([]byte{1}, 20)...))
+	f.Add(append([]byte{0, 251}, bytes.Repeat([]byte{1}, 12)...))
+	f.Add([]byte{0, 0, 3, 7, 9, 1, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{2, 14, 14, 18, 14, 0, 0, 20, 20, 3, 14, 13, 14, 17, 18, 18})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := fuzzAnswer(data)
 		want := encodeStdlib(t, r)
@@ -330,7 +339,9 @@ func FuzzAppendJSON(f *testing.F) {
 // from 300 000, where nearly every docid is its predecessor's text
 // plus a carry. "stream-dense" and "stream-words" write that answer as
 // the handler does, through one ChunkSize chunk into a discarding
-// writer, Content-Length pass included, from docids and from words.
+// writer, Content-Length pass included, from docids and from words;
+// "stream-words-wide" writes its words shifted to 2^31, 10-digit
+// docids past the renderer's one-store path.
 // "posting" weighs the two encodings of a shard's answer on the
 // router's hop against each other: a routed OR's mean shard answer
 // (107 500 docids from 150 000) and a small one (3 000), each encoded
@@ -359,16 +370,23 @@ func BenchmarkSearchWire(b *testing.B) {
 		}
 	})
 	// The handler's path: the same answer streamed through a ChunkSize
-	// chunk, from docids and from words, length pass included.
+	// chunk, from docids and from words, length pass included; and the
+	// same words shifted to 2^31, where every docid is too wide for the
+	// one-store path.
 	denseWords := server.SearchResponse{Query: dense.Query, Mode: "or", Words: wordsOf(dense.Docs, 0), Matches: dense.Matches}
+	wide := server.SearchResponse{Query: dense.Query, Mode: "or", Matches: dense.Matches}
+	for _, d := range dense.Docs {
+		wide.Docs = append(wide.Docs, d+1<<31)
+	}
+	wideWords := server.SearchResponse{Query: dense.Query, Mode: "or", Words: wordsOf(wide.Docs, 0), Matches: dense.Matches}
 	for _, row := range []struct {
-		name string
-		r    server.SearchResponse
-	}{{"stream-dense", dense}, {"stream-words", denseWords}} {
+		name    string
+		r, docs server.SearchResponse
+	}{{"stream-dense", dense, dense}, {"stream-words", denseWords, dense}, {"stream-words-wide", wideWords, wide}} {
 		b.Run(row.name, func(b *testing.B) {
 			w := discardResponse{header: http.Header{}}
 			chunk := make([]byte, 0, server.ChunkSize)
-			b.SetBytes(int64(len(dense.AppendJSON(nil))))
+			b.SetBytes(int64(len(row.docs.AppendJSON(nil))))
 			for i := 0; i < b.N; i++ {
 				if err := row.r.WriteJSON(w, chunk); err != nil {
 					b.Fatal(err)
