@@ -39,10 +39,15 @@ import (
 // documents still in the mutable segment are physical removals, so
 // tombstones never target the mutable segment at all.
 //
-// Locking: mu guards all index state; queries hold it shared for their
-// whole evaluation, swaps (seal commit, compact commit) hold it
-// exclusive — which is why retiring an input snapshot after a swap
-// cannot race a reader. flushMu serializes seal and compaction.
+// Locking: mu guards all index state. A query holds it shared only to
+// pin a view: it takes the sealed list and the tombstone set, which are
+// replaced and never edited, acquires each sealed snapshot, and
+// evaluates the in-memory segments, which writers mutate under mu. It
+// evaluates the sealed segments after letting mu go, and releases the
+// snapshots at the end, so a swap (seal commit, compact commit, which
+// hold mu exclusive) waits for no query, and a snapshot it retires
+// closes only when the last query that pinned it is done. flushMu
+// serializes seal and compaction.
 type Live struct {
 	dir  string
 	fsys faultio.FS
@@ -53,9 +58,8 @@ type Live struct {
 	mem         *MemSegment
 	frozen      *MemSegment // mem being sealed; queries still see it
 	frozenEpoch int
-	sealed      []*sealedSeg
-	tombBounds  map[uint32]int // deleted docid -> epoch bound
-	tombSorted  []uint32       // the same docids, ascending (the mask)
+	sealed      []*sealedSeg // replaced on every swap, never edited
+	tombs       tombSet      // replaced on every change, never edited
 	epoch       int
 	nextDoc     uint32
 	walSeq      int
@@ -153,7 +157,7 @@ func OpenLive(dir string, opts LiveOptions) (*Live, error) {
 	}
 	l := &Live{
 		dir: dir, fsys: opts.FS, opts: opts,
-		mem: NewMemSegment(), tombBounds: map[uint32]int{},
+		mem: NewMemSegment(),
 	}
 	m, ok, err := readManifest(l.fsys, dir)
 	if err != nil {
@@ -165,9 +169,11 @@ func OpenLive(dir string, opts LiveOptions) (*Live, error) {
 		l.walSeq = m.WALSeq
 		l.segSeq = m.SegSeq
 		l.epoch = m.Epoch
-		if l.tombBounds, err = m.decodeTombs(); err != nil {
+		bounds, err := m.decodeTombs()
+		if err != nil {
 			return nil, err
 		}
+		l.tombs = tombsFromMap(bounds)
 		for _, sm := range m.Segments {
 			seg := &sealedSeg{file: sm.File, epoch: sm.Epoch, ranges: rangesFromMeta(sm.DocMap)}
 			path := filepath.Join(dir, sm.File)
@@ -189,7 +195,6 @@ func OpenLive(dir string, opts LiveOptions) (*Live, error) {
 			}
 		}
 	}
-	l.rebuildTombSorted()
 
 	// Replay the WAL window: every log from the floor up, in order. The
 	// highest-numbered log on disk is the active one; logs below it are
@@ -253,8 +258,7 @@ func (l *Live) applyRecord(rec []byte) {
 			l.mem.Remove(doc)
 			return
 		}
-		l.tombBounds[doc] = l.epoch - 1
-		l.rebuildTombSorted()
+		l.tombs = l.tombs.with(doc, l.epoch-1)
 	}
 }
 
@@ -267,29 +271,14 @@ func (l *Live) visibleLocked(doc uint32) bool {
 		return true
 	}
 	if l.frozen != nil && l.frozen.Has(doc) {
-		return !l.maskedLocked(doc, l.frozenEpoch)
+		return !l.tombs.masked(doc, l.frozenEpoch)
 	}
 	for _, seg := range l.sealed {
-		if seg.ranges.contains(doc) && !l.maskedLocked(doc, seg.epoch) {
+		if seg.ranges.contains(doc) && !l.tombs.masked(doc, seg.epoch) {
 			return true
 		}
 	}
 	return false
-}
-
-// maskedLocked reports whether a tombstone masks doc for a segment of
-// the given epoch.
-func (l *Live) maskedLocked(doc uint32, epoch int) bool {
-	bound, ok := l.tombBounds[doc]
-	return ok && bound >= epoch
-}
-
-func (l *Live) rebuildTombSorted() {
-	l.tombSorted = l.tombSorted[:0]
-	for d := range l.tombBounds {
-		l.tombSorted = append(l.tombSorted, d)
-	}
-	sort.Slice(l.tombSorted, func(i, j int) bool { return l.tombSorted[i] < l.tombSorted[j] })
 }
 
 // fail poisons the live index after a WAL ack failure: the in-memory
@@ -373,8 +362,7 @@ func (l *Live) Delete(doc uint32) error {
 	if l.mem.Has(doc) {
 		l.mem.Remove(doc)
 	} else {
-		l.tombBounds[doc] = l.epoch - 1
-		l.rebuildTombSorted()
+		l.tombs = l.tombs.with(doc, l.epoch-1)
 	}
 	c := l.wal.Enqueue(encodeDelete(doc))
 	l.mu.Unlock()
@@ -507,7 +495,7 @@ func (l *Live) Seal() error {
 		SegSeq: mySegSeq + 1, Epoch: l.epoch,
 		Segments: segMetas(newSegs),
 	}
-	if err := m.encodeTombs(l.tombBounds); err == nil {
+	if err := m.encodeTombs(l.tombs.bounds()); err == nil {
 		err = writeManifest(l.fsys, l.dir, m)
 	} else {
 		err = fmt.Errorf("index: seal: %w", err)
@@ -577,11 +565,8 @@ func (l *Live) Compact() error {
 		l.mu.RUnlock()
 		return nil
 	}
-	inputs := append([]*sealedSeg(nil), l.sealed...)
-	tombsSnap := make(map[uint32]int, len(l.tombBounds))
-	for d, b := range l.tombBounds {
-		tombsSnap[d] = b
-	}
+	inputs := l.sealed
+	applied := l.tombs
 	outEpoch := 0
 	for _, s := range inputs {
 		if s.quarantined {
@@ -604,7 +589,7 @@ func (l *Live) Compact() error {
 	// Heavy phase, off-lock against the acquired snapshots: merged terms
 	// stream straight into the output's section buffers.
 	var bw bvix3Writer
-	ranges, err := mergeSealed(inputs, tombsSnap, l.opts.Codec, bw.add)
+	ranges, err := mergeSealed(inputs, applied, l.opts.Codec, bw.add)
 	release()
 	if err != nil {
 		return fmt.Errorf("index: compact: %w", err)
@@ -635,13 +620,7 @@ func (l *Live) Compact() error {
 		}
 		return err
 	}
-	pruned := map[uint32]int{}
-	for d, b := range l.tombBounds {
-		if sb, ok := tombsSnap[d]; ok && sb == b {
-			continue // fully applied by the merge
-		}
-		pruned[d] = b
-	}
+	pruned := l.tombs.without(applied)
 	var newSegs []*sealedSeg
 	if out != nil {
 		newSegs = []*sealedSeg{out}
@@ -652,7 +631,7 @@ func (l *Live) Compact() error {
 		SegSeq: mySegSeq + 1, Epoch: l.epoch,
 		Segments: segMetas(newSegs),
 	}
-	if err := m.encodeTombs(pruned); err == nil {
+	if err := m.encodeTombs(pruned.bounds()); err == nil {
 		err = writeManifest(l.fsys, l.dir, m)
 	} else {
 		err = fmt.Errorf("index: compact: %w", err)
@@ -668,8 +647,7 @@ func (l *Live) Compact() error {
 	old := l.sealed
 	l.sealed = newSegs
 	l.segSeq = mySegSeq + 1
-	l.tombBounds = pruned
-	l.rebuildTombSorted()
+	l.tombs = pruned
 	l.compactions++
 	l.lastCompact = time.Now()
 	l.mu.Unlock()
@@ -698,11 +676,8 @@ func (l *Live) Export() (*Index, error) {
 		l.mu.RUnlock()
 		return nil, err
 	}
-	inputs := append([]*sealedSeg(nil), l.sealed...)
-	tombs := make(map[uint32]int, len(l.tombBounds))
-	for d, b := range l.tombBounds {
-		tombs[d] = b
-	}
+	inputs := l.sealed
+	tombs := l.tombs
 	for _, s := range inputs {
 		if s.quarantined {
 			l.mu.RUnlock()
@@ -742,20 +717,11 @@ func (l *Live) Export() (*Index, error) {
 // the merge holds one term's postings at a time, never an input's
 // whole vocabulary. Compaction emits into a bvix3Writer, Export into a
 // map; the returned ranges map merged local ids back to global ones.
-func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec, emit func(string, termEntry) error) (idRanges, error) {
-	masked := func(doc uint32, epoch int) bool {
-		b, ok := tombs[doc]
-		return ok && b >= epoch
-	}
-
+func mergeSealed(inputs []*sealedSeg, tombs tombSet, codec core.Codec, emit func(string, termEntry) error) (idRanges, error) {
 	// Surviving document universe.
 	var survivors []uint32
 	for _, s := range inputs {
-		for _, g := range s.ranges.allGlobals() {
-			if !masked(g, s.epoch) {
-				survivors = append(survivors, g)
-			}
-		}
+		survivors = append(survivors, tombs.mask(s.ranges.allGlobals(), s.epoch)...)
 	}
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
 	ranges := rangesFromIDs(survivors)
@@ -800,8 +766,9 @@ func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec, em
 			globals := seg.ranges.globals(e.posting.Decompress())
 			docs := make([]uint32, 0, len(globals))
 			freqs := make([]uint16, 0, len(globals))
+			j := 0
 			for k, g := range globals {
-				if masked(g, seg.epoch) {
+				if tombs.maskedFrom(&j, g, seg.epoch) {
 					continue
 				}
 				docs = append(docs, g)
@@ -864,42 +831,49 @@ func mergeSealed(inputs []*sealedSeg, tombs map[uint32]int, codec core.Codec, em
 	}
 }
 
-// maskGlobals filters tombstoned docs out of an ascending global-id
-// list for a segment of the given epoch, via a merge walk against the
-// sorted tombstone ids. Caller holds mu shared.
-func (l *Live) maskGlobals(list []uint32, epoch int) []uint32 {
-	if len(l.tombSorted) == 0 || len(list) == 0 {
-		return list
-	}
-	out := list[:0]
-	j := 0
-	for _, d := range list {
-		for j < len(l.tombSorted) && l.tombSorted[j] < d {
-			j++
+// scatter runs one query across every segment. Under mu held shared
+// it pins the view — the sealed list and the tombstone set, both
+// replaced and never edited, with each servable sealed snapshot
+// acquired — and runs mem over the frozen and the mutable segment,
+// which writers mutate under mu. After releasing mu it runs sealed over
+// each servable sealed segment, so a writer's ack never waits on a
+// sealed evaluation, and a swap that retires a pinned segment leaves it
+// open until scatter returns and releases the pins, on every path. mem
+// gets the tombstones that can mask the segment: none for the mutable
+// one, whose deletes are physical.
+func (l *Live) scatter(mem func(m *MemSegment, tombs tombSet, epoch int), sealed func(seg *sealedSeg, tombs tombSet) error) error {
+	l.mu.RLock()
+	segs, tombs := l.sealed, l.tombs
+	pinned := 0
+	defer func() {
+		for _, seg := range segs[:pinned] {
+			if !seg.quarantined {
+				seg.snap.Release()
+			}
 		}
-		if j < len(l.tombSorted) && l.tombSorted[j] == d && l.tombBounds[d] >= epoch {
+	}()
+	for _, seg := range segs {
+		if !seg.quarantined && !seg.snap.Acquire() {
+			// Only Close retires a current snapshot.
+			l.mu.RUnlock()
+			return errors.New("index: live index closed")
+		}
+		pinned++
+	}
+	if l.frozen != nil {
+		mem(l.frozen, tombs, l.frozenEpoch)
+	}
+	mem(l.mem, nil, l.epoch)
+	l.mu.RUnlock()
+	for _, seg := range segs {
+		if seg.quarantined {
 			continue
 		}
-		out = append(out, d)
+		if err := sealed(seg, tombs); err != nil {
+			return err
+		}
 	}
-	return out
-}
-
-// memView is one in-memory query target; memViews lists the frozen
-// segment, if any, then the mutable one. Caller holds mu shared.
-type memView struct {
-	m     *MemSegment
-	epoch int
-	mask  bool // apply tombstone masking (frozen only)
-}
-
-func (l *Live) memViews() []memView {
-	var out []memView
-	if l.frozen != nil {
-		out = append(out, memView{l.frozen, l.frozenEpoch, true})
-	}
-	out = append(out, memView{l.mem, l.epoch, false})
-	return out
+	return nil
 }
 
 // Conjunctive answers an AND query across every segment.
@@ -913,33 +887,28 @@ func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
 }
 
 // boolean evaluates one boolean operator per segment — sealed through
-// the segment's index, mutable through mem — masks deletions, and merges
-// the per-segment answers. A document is visible in exactly one
+// the segment's index, in-memory through mem — masks deletions, and
+// merges the per-segment answers. A document is visible in exactly one
 // segment, so the union is a disjoint sorted merge.
 func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem func(*MemSegment, []string) []uint32, terms []string) ([]uint32, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	var lists [][]uint32
-	for _, seg := range l.sealed {
-		if seg.quarantined {
-			continue
-		}
-		local, err := sealed(seg.snap.Index(), terms...)
-		if err != nil {
-			return nil, err
-		}
-		if g := l.maskGlobals(seg.ranges.globals(local), seg.epoch); len(g) > 0 {
-			lists = append(lists, g)
-		}
-	}
-	for _, v := range l.memViews() {
-		g := mem(v.m, terms)
-		if v.mask {
-			g = l.maskGlobals(g, v.epoch)
-		}
+	add := func(g []uint32) {
 		if len(g) > 0 {
 			lists = append(lists, g)
 		}
+	}
+	err := l.scatter(func(m *MemSegment, tombs tombSet, epoch int) {
+		add(tombs.mask(mem(m, terms), epoch))
+	}, func(seg *sealedSeg, tombs tombSet) error {
+		local, err := sealed(seg.snap.Index(), terms...)
+		if err != nil {
+			return err
+		}
+		add(tombs.mask(seg.ranges.globals(local), seg.epoch))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ops.UnionMany(lists), nil
 }
@@ -951,41 +920,10 @@ func (l *Live) TopK(k int, terms ...string) ([]Result, error) {
 	return l.TopKWith("", k, nil, terms...)
 }
 
-// rankView is one segment as a ranked query sees it: the source of its
-// impact lists, the map from its docids to global ones (nil when they
-// already are global), and which docids' tombstones can mask it (nil
-// for the mutable segment, whose deletes are physical).
-type rankView struct {
-	src    rankSource
-	global func(uint32) uint32
-	holds  func(uint32) bool
-	epoch  int
-}
-
 // rankSource builds a segment's impact lists: *Index for a sealed
 // segment, *MemSegment for an in-memory one.
 type rankSource interface {
 	topkLists(terms []string) []ops.ImpactList
-}
-
-// rankViews lists the segments a ranked query scores: every sealed one
-// that is not quarantined, then the in-memory ones. Caller holds mu
-// shared.
-func (l *Live) rankViews() []rankView {
-	var out []rankView
-	for _, seg := range l.sealed {
-		if !seg.quarantined {
-			out = append(out, rankView{seg.snap.Index(), seg.ranges.toGlobal, seg.ranges.contains, seg.epoch})
-		}
-	}
-	for _, v := range l.memViews() {
-		rv := rankView{src: v.m, epoch: v.epoch}
-		if v.mask {
-			rv.holds = v.m.Has
-		}
-		out = append(out, rv)
-	}
-	return out
 }
 
 // TopKWith is TopK with optional work accounting and the algorithm
@@ -999,30 +937,33 @@ func (l *Live) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...strin
 	if err != nil || k <= 0 {
 		return nil, err
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	var lists [][]Result
 	var total ops.TopKStats
-	for _, v := range l.rankViews() {
-		extra := 0
-		for _, d := range l.tombSorted {
-			if v.holds != nil && v.holds(d) && l.tombBounds[d] >= v.epoch {
-				extra++
-			}
-		}
+	// rank scores one segment: global maps its docids to global ones (nil
+	// when they already are), and extra of tombs can mask its results.
+	rank := func(src rankSource, global func(uint32) uint32, tombs tombSet, extra, epoch int) {
 		var st ops.TopKStats
-		rs := ops.TopK(mode, k+extra, v.src.topkLists(terms), &st)
+		rs := ops.TopK(mode, k+extra, src.topkLists(terms), &st)
 		total.Add(st)
 		keep := rs[:0]
 		for _, r := range rs {
-			if v.global != nil {
-				r.Doc = v.global(r.Doc)
+			if global != nil {
+				r.Doc = global(r.Doc)
 			}
-			if v.holds == nil || !l.maskedLocked(r.Doc, v.epoch) {
+			if extra == 0 || !tombs.masked(r.Doc, epoch) {
 				keep = append(keep, r)
 			}
 		}
 		lists = append(lists, keep)
+	}
+	err = l.scatter(func(m *MemSegment, tombs tombSet, epoch int) {
+		rank(m, nil, tombs, tombs.countHeld(m, epoch), epoch)
+	}, func(seg *sealedSeg, tombs tombSet) error {
+		rank(seg.snap.Index(), seg.ranges.toGlobal, tombs, tombs.countIn(seg.ranges, seg.epoch), seg.epoch)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if stats != nil {
 		*stats = total
@@ -1057,7 +998,7 @@ func (l *Live) Stats() LiveStats {
 	defer l.mu.RUnlock()
 	s := LiveStats{
 		Segments: len(l.sealed), MemDocs: l.mem.Docs(),
-		Tombstones: len(l.tombBounds), NextDoc: l.nextDoc, Epoch: l.epoch,
+		Tombstones: len(l.tombs), NextDoc: l.nextDoc, Epoch: l.epoch,
 		WALSeq: l.walSeq, Seals: l.seals, Compactions: l.compactions,
 		LastSealAgeSec: -1, LastCompactionAgeSec: -1,
 	}
@@ -1070,23 +1011,13 @@ func (l *Live) Stats() LiveStats {
 	}
 	visible := l.mem.Docs() + s.FrozenDocs
 	for _, seg := range l.sealed {
-		n := seg.ranges.total()
-		for _, d := range l.tombSorted {
-			if seg.ranges.contains(d) && l.tombBounds[d] >= seg.epoch {
-				n--
-			}
-		}
-		visible += n
+		visible += seg.ranges.total() - l.tombs.countIn(seg.ranges, seg.epoch)
 		if seg.quarantined {
 			s.QuarantinedSegments++
 		}
 	}
 	if l.frozen != nil {
-		for _, d := range l.tombSorted {
-			if l.frozen.Has(d) && l.tombBounds[d] >= l.frozenEpoch {
-				visible--
-			}
-		}
+		visible -= l.tombs.countHeld(l.frozen, l.frozenEpoch)
 	}
 	s.VisibleDocs = visible
 	if !l.lastSeal.IsZero() {
