@@ -834,14 +834,16 @@ func mergeSealed(inputs []*sealedSeg, tombs tombSet, codec core.Codec, emit func
 // scatter runs one query across every segment. Under mu held shared
 // it pins the view — the sealed list and the tombstone set, both
 // replaced and never edited, with each servable sealed snapshot
-// acquired — and runs mem over the frozen and the mutable segment,
-// which writers mutate under mu. After releasing mu it runs sealed over
-// each servable sealed segment, so a writer's ack never waits on a
-// sealed evaluation, and a swap that retires a pinned segment leaves it
-// open until scatter returns and releases the pins, on every path. mem
-// gets the tombstones that can mask the segment: none for the mutable
-// one, whose deletes are physical.
-func (l *Live) scatter(mem func(m *MemSegment, tombs tombSet, epoch int), sealed func(seg *sealedSeg, tombs tombSet) error) error {
+// acquired — calls pin, when non-nil, with the first docid not yet
+// assigned (every docid of the view is below it), and runs mem over
+// the frozen and the mutable segment, which writers mutate under mu.
+// After releasing mu it runs sealed over each servable sealed segment,
+// so a writer's ack never waits on a sealed evaluation, and a swap that
+// retires a pinned segment leaves it open until scatter returns and
+// releases the pins, on every path. mem gets the tombstones that can
+// mask the segment: none for the mutable one, whose deletes are
+// physical.
+func (l *Live) scatter(pin func(next uint32), mem func(m *MemSegment, tombs tombSet, epoch int), sealed func(seg *sealedSeg, tombs tombSet) error) error {
 	l.mu.RLock()
 	segs, tombs := l.sealed, l.tombs
 	pinned := 0
@@ -859,6 +861,9 @@ func (l *Live) scatter(mem func(m *MemSegment, tombs tombSet, epoch int), sealed
 			return errors.New("index: live index closed")
 		}
 		pinned++
+	}
+	if pin != nil {
+		pin(l.nextDoc)
 	}
 	if l.frozen != nil {
 		mem(l.frozen, tombs, l.frozenEpoch)
@@ -881,15 +886,15 @@ func (l *Live) Conjunctive(terms ...string) ([]uint32, error) {
 	return l.boolean((*Index).Conjunctive, memConjunctive, terms)
 }
 
-// Disjunctive answers an OR query across every segment.
-func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
-	return l.boolean((*Index).Disjunctive, memDisjunctive, terms)
-}
-
 // boolean evaluates one boolean operator per segment — sealed through
 // the segment's index, in-memory through mem — masks deletions, and
 // merges the per-segment answers. A document is visible in exactly one
-// segment, so the union is a disjoint sorted merge.
+// segment, so the merge is a disjoint union, and a lone answer is the
+// result as it is. Both evaluators must hand back answers the caller
+// owns: a sealed answer is mapped to global ids and masked in place.
+// (*Index).Conjunctive does: ops.Intersect copies its answer out, or
+// returns one posting's Decompress, fresh for every codec. Only the AND
+// comes through here; the live OR is or (liveor.go).
 func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem func(*MemSegment, []string) []uint32, terms []string) ([]uint32, error) {
 	var lists [][]uint32
 	add := func(g []uint32) {
@@ -897,7 +902,7 @@ func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem fun
 			lists = append(lists, g)
 		}
 	}
-	err := l.scatter(func(m *MemSegment, tombs tombSet, epoch int) {
+	err := l.scatter(nil, func(m *MemSegment, tombs tombSet, epoch int) {
 		add(tombs.mask(mem(m, terms), epoch))
 	}, func(seg *sealedSeg, tombs tombSet) error {
 		local, err := sealed(seg.snap.Index(), terms...)
@@ -907,10 +912,20 @@ func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem fun
 		add(tombs.mask(seg.ranges.globals(local), seg.epoch))
 		return nil
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case len(lists) == 1:
+		return lists[0], nil
 	}
 	return ops.UnionMany(lists), nil
+}
+
+// Disjunctive answers an OR query across every segment: the live OR
+// (or), drained into docids.
+func (l *Live) Disjunctive(terms ...string) ([]uint32, error) {
+	docs, _, err := l.or(terms, false)
+	return docs, err
 }
 
 // TopK ranks across every segment by summed quantized impact (score
@@ -956,7 +971,7 @@ func (l *Live) TopKWith(algo string, k int, stats *ops.TopKStats, terms ...strin
 		}
 		lists = append(lists, keep)
 	}
-	err = l.scatter(func(m *MemSegment, tombs tombSet, epoch int) {
+	err = l.scatter(nil, func(m *MemSegment, tombs tombSet, epoch int) {
 		rank(m, nil, tombs, tombs.countHeld(m, epoch), epoch)
 	}, func(seg *sealedSeg, tombs tombSet) error {
 		rank(seg.snap.Index(), seg.ranges.toGlobal, tombs, tombs.countIn(seg.ranges, seg.epoch), seg.epoch)

@@ -283,18 +283,18 @@ func (r idRanges) contains(global uint32) bool {
 	return ok
 }
 
-// globals converts an ascending local id list to global ids in place-
-// order (the output is ascending too: the mapping is monotonic).
-func (r idRanges) globals(locals []uint32) []uint32 {
-	out := make([]uint32, len(locals))
+// globals maps an ascending local id list to global ids in place and
+// returns it (still ascending: the mapping is monotonic). The caller
+// must own ids.
+func (r idRanges) globals(ids []uint32) []uint32 {
 	run := 0
-	for i, l := range locals {
+	for i, l := range ids {
 		for run+1 < len(r.cum) && r.cum[run+1] <= l {
 			run++
 		}
-		out[i] = r.starts[run] + (l - r.cum[run])
+		ids[i] = r.starts[run] + (l - r.cum[run])
 	}
-	return out
+	return ids
 }
 
 // allGlobals enumerates every global id in the segment, ascending.

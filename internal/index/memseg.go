@@ -146,17 +146,6 @@ func memConjunctive(m *MemSegment, terms []string) []uint32 {
 	return out
 }
 
-// memDisjunctive unions the segment's posting lists for terms.
-func memDisjunctive(m *MemSegment, terms []string) []uint32 {
-	var lists [][]uint32
-	for _, t := range terms {
-		if list, _ := m.Postings(t); len(list) > 0 {
-			lists = append(lists, list)
-		}
-	}
-	return ops.UnionMany(lists)
-}
-
 // topkLists is Index.topkLists for the segment: each term occurrence's
 // postings with impacts derived from its frequencies, duplicated terms
 // included, so a live top-k ranks this segment through the same scorer

@@ -103,8 +103,15 @@ func (idx *Index) Search(ctx context.Context, req Request) (Answer, error) {
 	return search(ctx, idx, req)
 }
 
-// Search evaluates req across every segment of the live index. Live
-// answers are always Docs: req.Words is ignored.
+// Search evaluates req across every segment of the live index. A dense
+// OR comes back as Words when req.Words is set.
 func (l *Live) Search(ctx context.Context, req Request) (Answer, error) {
+	if req.Words && req.Mode == "or" {
+		if err := ctx.Err(); err != nil {
+			return Answer{}, err
+		}
+		docs, words, err := l.or(req.Terms, true)
+		return Answer{Docs: docs, Words: words}, err
+	}
 	return search(ctx, l, req)
 }

@@ -105,9 +105,10 @@ func putAccumulator(a *accumulator) {
 	accPool.Put(a)
 }
 
-// unionFresh is UnionWords' choice: the dense path ORs into fresh
-// words, which the caller owns, and the sparse path merges.
-func (a *accumulator) unionFresh(postings []core.Posting) ([]uint32, *Words, error) {
+// unionOrWords is UnionWords' choice: the dense path ORs into words,
+// fresh ones the caller owns when fresh is set and the accumulator's
+// own otherwise, and the sparse path merges.
+func (a *accumulator) unionOrWords(postings []core.Posting, fresh bool) ([]uint32, *Words, error) {
 	lo, hi, total := a.boundAll(postings)
 	if !denseUnion(total, lo, hi) {
 		if len(postings) == 1 {
@@ -119,10 +120,15 @@ func (a *accumulator) unionFresh(postings []core.Posting) ([]uint32, *Words, err
 		docs, err := unionSparse(postings, a.lists)
 		return docs, nil, err
 	}
-	base := lo &^ 0xffff
-	w := &Words{Base: base, W: make([]uint64, int((hi-base)>>6)+1)}
+	w := new(Words)
+	if fresh {
+		w.Base = lo &^ 0xffff
+		w.W = make([]uint64, int((hi-w.Base)>>6)+1)
+	} else {
+		w.W, w.Base = a.span(lo, hi)
+	}
 	for i, p := range postings {
-		a.orInto(w.W, base, p, a.lists[i])
+		a.orInto(w.W, w.Base, p, a.lists[i])
 	}
 	return nil, w, nil
 }
@@ -236,6 +242,34 @@ func unionListWords(lists [][]uint32, lo, hi uint32) []uint32 {
 	out := drain(words, base)
 	putAccumulator(a)
 	return out
+}
+
+// OrRun ORs the values of w in [from, from+n) into dst, value from+i
+// landing on bit to+i of dst (bit b is bit b%64 of dst[b/64]): a
+// shifted word copy, one destination word a step. Only values w holds
+// are read, so the run may reach outside w's span; dst must hold every
+// bit a held value lands on.
+func (w Words) OrRun(dst []uint64, to, from, n uint32) {
+	lo := max(uint64(from), uint64(w.Base))
+	hi := min(uint64(from)+uint64(n), uint64(w.Base)+uint64(len(w.W))<<6)
+	if lo >= hi {
+		return
+	}
+	s, d := lo-uint64(w.Base), uint64(to)+lo-uint64(from)
+	for c := hi - lo; c > 0; {
+		off := d & 63
+		take := min(64-off, c)
+		i, sh := s>>6, s&63
+		v := w.W[i] >> sh
+		if sh != 0 && i+1 < uint64(len(w.W)) {
+			v |= w.W[i+1] << (64 - sh)
+		}
+		if take < 64 {
+			v &= 1<<take - 1
+		}
+		dst[d>>6] |= v << off
+		s, d, c = s+take, d+take, c-take
+	}
 }
 
 // setBits ORs the values of l into words, whose bit 0 stands for base.

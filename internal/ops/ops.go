@@ -269,10 +269,8 @@ func Union(postings []core.Posting) ([]uint32, error) {
 	case 1:
 		return postings[0].Decompress(), nil
 	}
-	if _, native := postings[0].(core.Unioner); native {
-		if _, words := postings[0].(core.BucketProber); !words {
-			return unionSparse(postings, nil)
-		}
+	if keepsNativePair(postings) {
+		return unionSparse(postings, nil)
 	}
 	a := getAccumulator()
 	out, err := a.union(postings)
@@ -289,16 +287,52 @@ func UnionWords(postings []core.Posting) ([]uint32, *Words, error) {
 	if len(postings) == 0 {
 		return nil, nil, nil
 	}
-	if _, native := postings[0].(core.Unioner); native && len(postings) > 1 {
-		if _, words := postings[0].(core.BucketProber); !words {
-			docs, err := unionSparse(postings, nil)
-			return docs, nil, err
-		}
+	if keepsNativePair(postings) {
+		docs, err := unionSparse(postings, nil)
+		return docs, nil, err
 	}
 	a := getAccumulator()
-	docs, w, err := a.unionFresh(postings)
+	docs, w, err := a.unionOrWords(postings, true)
 	putAccumulator(a)
 	return docs, w, err
+}
+
+// VisitUnionWords is UnionWords for a caller that reads the answer once
+// and lets it go: visit gets it as UnionWords would return it, but a
+// dense answer is the pooled accumulator's own words, valid only while
+// visit runs. visit may clear bits of them; it must not keep them or
+// write into docs.
+func VisitUnionWords(postings []core.Posting, visit func(docs []uint32, w *Words)) error {
+	if len(postings) == 0 {
+		visit(nil, nil)
+		return nil
+	}
+	if keepsNativePair(postings) {
+		docs, err := unionSparse(postings, nil)
+		if err == nil {
+			visit(docs, nil)
+		}
+		return err
+	}
+	a := getAccumulator()
+	docs, w, err := a.unionOrWords(postings, false)
+	if err == nil {
+		visit(docs, w)
+	}
+	if w != nil {
+		clear(w.W)
+	}
+	putAccumulator(a)
+	return err
+}
+
+// keepsNativePair reports whether a union of two or more operands
+// takes the native pair without bounding them: its leading operand ORs
+// natively but not into words.
+func keepsNativePair(postings []core.Posting) bool {
+	_, native := postings[0].(core.Unioner)
+	_, words := postings[0].(core.BucketProber)
+	return len(postings) > 1 && native && !words
 }
 
 // unionSparse is Union's merge side: a native same-codec pair first,

@@ -140,12 +140,14 @@ func (s *Server) parseSearch(q url.Values) (index.Request, error) {
 // query is still reading. A partial answer from a router is still 200:
 // a dead shard is a documented subset ("shard 3 of 8 degraded, results
 // partial"), not a failed query. A boolean request takes a dense answer
-// as words (index.Request.Words), which go to the wire as they are. The
-// JSON body streams through one pooled fixed-size chunk (WriteJSON),
-// with its Content-Length, and the timeout middleware passes writes
-// through rather than copying them. A complete and/or answer to a
-// request that accepts PostingContentType is written as a posting
-// instead; nothing else about the request or answer changes.
+// as words (index.Request.Words): a static index, a live one and a
+// router each answer a dense OR that way, and the words go to the wire
+// as they are. The JSON body streams through one pooled fixed-size
+// chunk (WriteJSON), with its Content-Length, and the timeout
+// middleware passes writes through rather than copying them. A
+// complete and/or answer to a request that accepts PostingContentType
+// is written as a posting instead; nothing else about the request or
+// answer changes.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, err := s.parseSearch(r.URL.Query())
 	if err != nil {

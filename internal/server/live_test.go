@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -197,5 +200,74 @@ func TestLiveServerDurableAcrossRestart(t *testing.T) {
 	}
 	if out["matches"].(float64) != 2 {
 		t.Fatalf("restarted server lost acked writes: %v", out)
+	}
+}
+
+// TestLiveServerDenseOr: a dense OR on a bvserve -live front, over
+// sealed and mutable segments with deletes in both, comes from the
+// live index as words, and its streamed JSON body is byte for byte
+// AppendJSON over the docids Disjunctive drains; asked for a posting,
+// the body is MarshalPosting of the same docids.
+func TestLiveServerDenseOr(t *testing.T) {
+	l, err := index.OpenLive(t.TempDir(), index.LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	for i := range 3000 {
+		text := "common"
+		if i%2 == 0 {
+			text += " even"
+		}
+		if i%7 == 0 {
+			text += " seventh"
+		}
+		if _, err := l.Add(text); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1000 || i == 2000 {
+			if err := l.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, doc := range []uint32{3, 64, 1500, 2100, 2999} {
+		if err := l.Delete(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewLive(l, Config{Logger: log.New(io.Discard, "", 0)})
+	s.ready.Store(true)
+	h := s.Handler()
+
+	for _, terms := range [][]string{{"even", "seventh"}, {"common"}, {"even"}} {
+		ans, err := l.Search(context.Background(), index.Request{Mode: "or", Terms: terms, Words: true})
+		if err != nil || ans.Words == nil {
+			t.Fatalf("%v: the live OR came back as %d docids (%v), want words", terms, len(ans.Docs), err)
+		}
+		docs, err := l.Disjunctive(terms...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := "/search?q=" + strings.Join(terms, "+") + "&mode=or"
+		want := (&SearchResponse{Query: terms, Mode: "or", Docs: docs, Matches: len(docs)}).AppendJSON(nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s: %d, %d bytes; want AppendJSON's %d bytes", path, rec.Code, rec.Body.Len(), len(want))
+		}
+
+		wantPosting, err := MarshalPosting(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.Header.Set("Accept", PostingContentType)
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != PostingContentType || !bytes.Equal(rec.Body.Bytes(), wantPosting) {
+			t.Fatalf("%s as a posting: %d %q, %d bytes; want MarshalPosting's %d bytes",
+				path, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Len(), len(wantPosting))
+		}
 	}
 }
