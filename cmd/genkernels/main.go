@@ -1,10 +1,11 @@
 // Command genkernels emits the width-specialized decode kernels of
-// internal/kernels: for every bit width 0..32 an unrolled horizontal
-// unpack<b> (32 values per call), an unrolled vertical vunpack<b> for
-// the SIMD-BP128 4-lane layout (128 values), and the fused variants
-// vunpackDelta<b> (unpack + delta prefix-sum in one pass) and
-// vunpackBase<b> (unpack + constant base add, for SIMDBP128*'s
-// offset-from-first layout).
+// internal/kernels: for every bit width 0..maxUnrolled an unrolled
+// horizontal unpack<b> (32 values per call) and the fused vertical
+// kernels of the SIMD-BP128 4-lane layout, vunpackDelta<b> (unpack +
+// delta prefix-sum in one pass) and vunpackBase<b> (unpack + constant
+// base add, for SIMDBP128*'s offset-from-first layout). Each family's
+// generated switch sends the wider widths to a hand-written fallback in
+// kernels.go over the reference loops.
 //
 // The generator is deterministic: running it twice produces identical
 // bytes, which the CI drift gate (go generate ./... && git diff
@@ -26,6 +27,12 @@ import (
 	"path/filepath"
 )
 
+// maxUnrolled is the widest bit width that gets an unrolled kernel. No
+// 128-value block of the benchmark's lists is wider than 21 bits, and
+// its synthetic lists live in a 2^24 docid domain, so widths 25–32 only
+// ever reach the reference-loop fallbacks (DESIGN.md §2).
+const maxUnrolled = 24
+
 const header = `// Code generated by genkernels. DO NOT EDIT.
 //
 // Regenerate with: go generate ./internal/kernels
@@ -44,7 +51,6 @@ func Files() (map[string][]byte, error) {
 	out := map[string][]byte{}
 	for name, gen := range map[string]func(*bytes.Buffer){
 		"unpack_gen.go":       genUnpack,
-		"vunpack_gen.go":      genVUnpack,
 		"vunpackdelta_gen.go": genVUnpackDelta,
 		"vunpackbase_gen.go":  genVUnpackBase,
 	} {
@@ -133,7 +139,7 @@ func vertOff(l int) func(int) int {
 }
 
 func genUnpack(w *bytes.Buffer) {
-	for b := 0; b <= 32; b++ {
+	for b := 0; b <= maxUnrolled; b++ {
 		fmt.Fprintf(w, "// unpack%d decodes 32 %d-bit values (%d bytes) from src into out.\n", b, b, 4*b)
 		fmt.Fprintf(w, "func unpack%d(src []byte, out *[32]uint32) {\n", b)
 		if b == 0 {
@@ -152,78 +158,54 @@ func genUnpack(w *bytes.Buffer) {
 	emitDispatch(w, "unpackDispatch", "unpack", "src []byte, out *[32]uint32", "src, out")
 }
 
-// emitDispatch writes a switch-based dispatcher over the 33 width
-// specializations. A [33]func table would be shorter, but the indirect
-// call defeats escape analysis and spills every caller's stack output
-// array to the heap (one allocation per decoded block); direct calls in
-// a switch keep decode allocation-free.
+// emitDispatch writes a switch-based dispatcher over the width
+// specializations 0..maxUnrolled; its default case calls the
+// hand-written <kernel>Wide, which decodes widths up to 32 through the
+// reference loops and panics above. A func table would be shorter, but
+// the indirect call defeats escape analysis and spills every caller's
+// stack output array to the heap (one allocation per decoded block);
+// direct calls in a switch keep decode allocation-free.
 func emitDispatch(w *bytes.Buffer, name, kernel, params, callArgs string) {
 	fmt.Fprintf(w, "// %s calls the width-b %s kernel via a direct call per\n// case so callers' output arrays stay on the stack.\n", name, kernel)
 	fmt.Fprintf(w, "func %s(%s, b uint) {\nswitch b {\n", name, params)
-	for b := 0; b <= 32; b++ {
+	for b := 0; b <= maxUnrolled; b++ {
 		fmt.Fprintf(w, "case %d:\n%s%d(%s)\n", b, kernel, b, callArgs)
 	}
-	fmt.Fprintf(w, "default:\npanic(\"kernels: bit width out of range\")\n}\n}\n")
-}
-
-func genVUnpack(w *bytes.Buffer) {
-	for b := 0; b <= 32; b++ {
-		fmt.Fprintf(w, "// vunpack%d decodes 128 %d-bit values (%d bytes) from the vertical\n// 4-lane layout of src into out.\n", b, b, 16*b)
-		fmt.Fprintf(w, "func vunpack%d(src []byte, out *[128]uint32) {\n", b)
-		if b == 0 {
-			w.WriteString("_ = src\nfor i := range out {\nout[i] = 0\n}\n}\n\n")
-			continue
-		}
-		fmt.Fprintf(w, "_ = src[%d]\n", 16*b-1)
-		s := newStream()
-		for i := 0; i < 128; i++ {
-			e := s.expr(b, i/4, vertOff(i%4))
-			fmt.Fprintf(&s.buf, "out[%d] = %s\n", i, e)
-		}
-		w.Write(s.buf.Bytes())
-		w.WriteString("}\n\n")
-	}
-	emitDispatch(w, "vunpackDispatch", "vunpack", "src []byte, out *[128]uint32", "src, out")
+	fmt.Fprintf(w, "default:\n%sWide(%s, b)\n}\n}\n", kernel, callArgs)
 }
 
 func genVUnpackDelta(w *bytes.Buffer) {
-	for b := 0; b <= 32; b++ {
-		fmt.Fprintf(w, "// vunpackDelta%d decodes the first 127 %d-bit d-gaps of a vertical\n// 4-lane block and prefix-sums them onto prev in the same pass.\n", b, b)
-		fmt.Fprintf(w, "func vunpackDelta%d(src []byte, out *[127]uint32, prev uint32) {\n", b)
-		if b == 0 {
-			w.WriteString("_ = src\nfor i := range out {\nout[i] = prev\n}\n}\n\n")
-			continue
-		}
-		fmt.Fprintf(w, "_ = src[%d]\n", 16*b-1)
-		s := newStream()
-		for i := 0; i < 127; i++ {
-			e := s.expr(b, i/4, vertOff(i%4))
-			fmt.Fprintf(&s.buf, "prev += %s\nout[%d] = prev\n", e, i)
-		}
-		w.Write(s.buf.Bytes())
-		w.WriteString("}\n\n")
-	}
-	emitDispatch(w, "vunpackDeltaDispatch", "vunpackDelta", "src []byte, out *[127]uint32, prev uint32", "src, out, prev")
+	genFused(w, "vunpackDelta", "prev", "d-gaps of a vertical\n// 4-lane block and prefix-sums them onto prev in the same pass.",
+		"prev += %[1]s\nout[%[2]d] = prev\n")
 }
 
 func genVUnpackBase(w *bytes.Buffer) {
-	for b := 0; b <= 32; b++ {
-		fmt.Fprintf(w, "// vunpackBase%d decodes the first 127 %d-bit offsets of a vertical\n// 4-lane block and adds base in the same pass (SIMDBP128* layout).\n", b, b)
-		fmt.Fprintf(w, "func vunpackBase%d(src []byte, out *[127]uint32, base uint32) {\n", b)
+	genFused(w, "vunpackBase", "base", "offsets of a vertical\n// 4-lane block and adds base in the same pass (SIMDBP128* layout).",
+		"out[%[2]d] = base + (%[1]s)\n")
+}
+
+// genFused emits kernel<b>(src, out, acc) for widths 0..maxUnrolled:
+// each decodes the first 127 values of a vertical block, and stmt folds
+// value i (its expression %[1]s, its index %[2]d) into out through acc.
+// At width 0 every value is zero, so every out[i] is acc.
+func genFused(w *bytes.Buffer, kernel, acc, doc, stmt string) {
+	for b := 0; b <= maxUnrolled; b++ {
+		fmt.Fprintf(w, "// %s%d decodes the first 127 %d-bit %s\n", kernel, b, b, doc)
+		fmt.Fprintf(w, "func %s%d(src []byte, out *[127]uint32, %s uint32) {\n", kernel, b, acc)
 		if b == 0 {
-			w.WriteString("_ = src\nfor i := range out {\nout[i] = base\n}\n}\n\n")
+			fmt.Fprintf(w, "_ = src\nfor i := range out {\nout[i] = %s\n}\n}\n\n", acc)
 			continue
 		}
 		fmt.Fprintf(w, "_ = src[%d]\n", 16*b-1)
 		s := newStream()
 		for i := 0; i < 127; i++ {
-			e := s.expr(b, i/4, vertOff(i%4))
-			fmt.Fprintf(&s.buf, "out[%d] = base + (%s)\n", i, e)
+			fmt.Fprintf(&s.buf, stmt, s.expr(b, i/4, vertOff(i%4)), i)
 		}
 		w.Write(s.buf.Bytes())
 		w.WriteString("}\n\n")
 	}
-	emitDispatch(w, "vunpackBaseDispatch", "vunpackBase", "src []byte, out *[127]uint32, base uint32", "src, out, base")
+	params := fmt.Sprintf("src []byte, out *[127]uint32, %s uint32", acc)
+	emitDispatch(w, kernel+"Dispatch", kernel, params, "src, out, "+acc)
 }
 
 // --- self-check ----------------------------------------------------------
@@ -269,7 +251,7 @@ func packLane(vals []uint32, b int) []uint32 {
 
 func selfCheck() error {
 	rng := rand.New(rand.NewSource(42))
-	for b := 0; b <= 32; b++ {
+	for b := 0; b <= maxUnrolled; b++ {
 		mask := uint32(uint64(1)<<uint(b) - 1)
 		var vals [128]uint32
 		for i := range vals {

@@ -5,8 +5,19 @@ import (
 	"repro/internal/kernels"
 )
 
-// The four SIMD-layout codecs (§3.10–3.11). All use the vertical 4-lane
-// 128-value packing of vpack.go inside the standard block frame:
+// Vertical 4-lane bit packing — the SIMD-BP128 data layout (§3.10-3.11).
+//
+// 128 values are viewed as 32 rows of 4 lanes; value i sits at
+// (row i/4, lane i%4). Each lane packs its 32 values at b bits into
+// exactly b 32-bit words, and the four lanes interleave word-wise, so
+// word k of the output is the four lane words of "bit-slice" k — byte
+// for byte the layout a 128-bit SIMD register file would process. Go
+// (stdlib only) cannot issue SIMD instructions, so internal/kernels
+// processes the same layout with generated width-specialized unrolled
+// scalar code; see DESIGN.md §2 for the substitution rationale.
+//
+// The four SIMD-layout codecs all use this packing inside the standard
+// block frame:
 //
 //   - SIMDBP128: per-block bit width over d-gaps, pure packing.
 //   - SIMDBP128*: not d-gap based (§3 overview) — packs offsets from the
@@ -32,26 +43,14 @@ func (simdBP128Block) EncodeBlock(dst []byte, block []uint32) []byte {
 	// 4-byte header keeps the packed payload 32-bit aligned the way the
 	// original's 16-byte bucket metadata does (amortized per block).
 	dst = append(dst, byte(b), 0, 0, 0)
-	return vpack128(dst, &in, b)
+	return kernels.VPack128(dst, &in, b)
 }
 
 func (simdBP128Block) DecodeBlock(src []byte, out []uint32) int {
 	if len(out) <= 1 {
 		return 0
 	}
-	b := uint(src[0])
-	if len(out) == BlockSize {
-		// Full block: fused unpack + prefix-sum, one pass, no scratch.
-		return 4 + kernels.VUnpackDelta(src[4:], (*[BlockSize - 1]uint32)(out[1:]), out[0], b)
-	}
-	var dec [128]uint32
-	used := 4 + vunpack128(src[4:], &dec, b)
-	prev := out[0]
-	for k := 1; k < len(out); k++ {
-		prev += dec[k-1]
-		out[k] = prev
-	}
-	return used
+	return 4 + vdecodeDelta(src[4:], out, uint(src[0]))
 }
 
 // NewSIMDBP128Star returns SIMDBP128* in the standard frame.
@@ -70,25 +69,14 @@ func (simdBP128StarBlock) EncodeBlock(dst []byte, block []uint32) []byte {
 	b := maxBits(in[:len(block)-1])
 	clearTail(&in, len(block)-1)
 	dst = append(dst, byte(b))
-	return vpack128(dst, &in, b)
+	return kernels.VPack128(dst, &in, b)
 }
 
 func (simdBP128StarBlock) DecodeBlock(src []byte, out []uint32) int {
 	if len(out) <= 1 {
 		return 0
 	}
-	b := uint(src[0])
-	if len(out) == BlockSize {
-		// Full block: fused unpack + base add (offsets are absolute).
-		return 1 + kernels.VUnpackBase(src[1:], (*[BlockSize - 1]uint32)(out[1:]), out[0], b)
-	}
-	var dec [128]uint32
-	used := 1 + vunpack128(src[1:], &dec, b)
-	first := out[0]
-	for k := 1; k < len(out); k++ {
-		out[k] = first + dec[k-1] // no prefix sum: offsets are absolute
-	}
-	return used
+	return 1 + vdecodeBase(src[1:], out, uint(src[0]))
 }
 
 // NewSIMDPforDelta returns SIMDPforDelta in the standard frame.
@@ -126,7 +114,7 @@ func (simdPFDBlock) EncodeBlock(dst []byte, block []uint32) []byte {
 	for i := range slots {
 		slots[i] = in[i] & mask
 	}
-	dst = vpack128(dst, &slots, b)
+	dst = kernels.VPack128(dst, &slots, b)
 	prev := 0
 	for _, pos := range excPos {
 		dst = PutVB(dst, uint32(pos-prev))
@@ -144,12 +132,13 @@ func (simdPFDBlock) DecodeBlock(src []byte, out []uint32) int {
 	}
 	b := uint(src[0])
 	excCount := int(src[1])
-	if excCount == 0 && len(out) == BlockSize {
-		// Exception-free full block decodes exactly like SIMDPforDelta*.
-		return 2 + kernels.VUnpackDelta(src[2:], (*[BlockSize - 1]uint32)(out[1:]), out[0], b)
+	if excCount == 0 {
+		// An exception-free block decodes exactly like SIMDPforDelta*.
+		return 2 + vdecodeDelta(src[2:], out, b)
 	}
-	var dec [128]uint32
-	used := 2 + vunpack128(src[2:], &dec, b)
+	// Exception positions index the block's gaps, so all fall below 127.
+	var dec [BlockSize - 1]uint32
+	used := 2 + kernels.VUnpackBase(src[2:], &dec, 0, b)
 	var positions [BlockSize]int
 	pos := 0
 	for j := 0; j < excCount; j++ {
@@ -187,25 +176,41 @@ func (simdPFDStarBlock) EncodeBlock(dst []byte, block []uint32) []byte {
 	b := maxBits(gaps)
 	clearTail(&in, len(gaps))
 	dst = append(dst, byte(b))
-	return vpack128(dst, &in, b)
+	return kernels.VPack128(dst, &in, b)
 }
 
 func (simdPFDStarBlock) DecodeBlock(src []byte, out []uint32) int {
 	if len(out) <= 1 {
 		return 0
 	}
-	b := uint(src[0])
+	return 1 + vdecodeDelta(src[1:], out, uint(src[0]))
+}
+
+// vdecodeDelta fills out[1:] with the b-bit d-gaps packed in src,
+// prefix-summed onto out[0] in the fused kernel's one pass, and returns
+// bytes used (16*b). A full block decodes straight into out. A partial
+// one decodes all 127 slots into scratch and keeps what out holds:
+// every block is packed at the full 16*b bytes, so the read stays in
+// bounds.
+func vdecodeDelta(src []byte, out []uint32, b uint) int {
 	if len(out) == BlockSize {
-		// Full block: fused unpack + prefix-sum, one pass, no scratch.
-		return 1 + kernels.VUnpackDelta(src[1:], (*[BlockSize - 1]uint32)(out[1:]), out[0], b)
+		return kernels.VUnpackDelta(src, (*[BlockSize - 1]uint32)(out[1:]), out[0], b)
 	}
-	var dec [128]uint32
-	used := 1 + vunpack128(src[1:], &dec, b)
-	prev := out[0]
-	for k := 1; k < len(out); k++ {
-		prev += dec[k-1]
-		out[k] = prev
+	var dec [BlockSize - 1]uint32
+	used := kernels.VUnpackDelta(src, &dec, out[0], b)
+	copy(out[1:], dec[:])
+	return used
+}
+
+// vdecodeBase is vdecodeDelta for SIMDBP128*'s offsets from the block's
+// first value: out[k] = out[0] + offset[k-1], with no prefix sum.
+func vdecodeBase(src []byte, out []uint32, b uint) int {
+	if len(out) == BlockSize {
+		return kernels.VUnpackBase(src, (*[BlockSize - 1]uint32)(out[1:]), out[0], b)
 	}
+	var dec [BlockSize - 1]uint32
+	used := kernels.VUnpackBase(src, &dec, out[0], b)
+	copy(out[1:], dec[:])
 	return used
 }
 

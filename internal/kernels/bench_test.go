@@ -107,11 +107,13 @@ func BenchmarkVUnpackBase(b *testing.B) {
 	})
 }
 
-// BenchmarkVUnpackFusedVsLoop asks whether the fused full-block kernels
-// earn their generated code: VUnpackDelta and VUnpackBase against what
-// the SIMDBP128 and SIMDBP128* partial-block decode runs instead —
-// VUnpack into a [128]uint32 scratch block, then the prefix-sum or
-// base-add loop over its first 127 values (intlist/simd.go).
+// BenchmarkVUnpackFusedVsLoop asks whether the fused kernels earn their
+// generated code: VUnpackDelta and VUnpackBase against unpack-then-loop,
+// VUnpack into a [128]uint32 scratch block followed by the prefix-sum or
+// base-add loop over its first 127 values. The SIMD codecs run the fused
+// kernels for full and partial blocks alike (intlist/simd.go), so every
+// unrolled width (0–24) must beat the loop; widths 25–32 run the
+// reference-loop fallback on both sides.
 func BenchmarkVUnpackFusedVsLoop(b *testing.B) {
 	for w := uint(0); w <= 32; w++ {
 		_, src := benchInputs(w)

@@ -23,13 +23,20 @@
 //     for byte the layout a 128-bit SIMD register file would process.
 //     Used by the SIMDBP128/SIMDPforDelta codecs.
 //
-// The generic accumulator loops that used to live in internal/intlist
-// remain here as the reference implementations (UnpackRef, VUnpackRef):
-// property tests, the fuzz roundtrip, and cmd/genkernels's self-check
-// all compare the generated kernels against them. The generated files
-// (*_gen.go) are committed; `go generate ./internal/kernels` rebuilds
-// them and CI fails if they drift from the generator.
+// Three families are generated, each unrolled for widths 0–24 only:
+// unpack (horizontal, 32 values), vunpackDelta and vunpackBase (the
+// first 127 values of a vertical block fused with the d-gap prefix sum
+// or the base add). VUnpack is vunpackBase at base 0 plus one shift for
+// value 127. Widths 25–32, which no measured block reaches, decode
+// through the generic accumulator loops UnpackRef and VUnpackRef; those
+// loops are also the references that property tests, the fuzz
+// roundtrip, the oracle and cmd/genkernels's self-check compare the
+// kernels against. The generated files (*_gen.go) are committed;
+// `go generate ./internal/kernels` rebuilds them and CI fails if they
+// drift from the generator.
 package kernels
+
+import "encoding/binary"
 
 // BlockLen is the vertical layout's block size (the paper's 128).
 const BlockLen = 128
@@ -56,8 +63,8 @@ func Pack(dst []byte, vals []uint32, b uint) []byte {
 
 // UnpackRef reads len(out) b-bit fields from src with the generic
 // accumulator loop, returning bytes used. It is the reference the
-// specialized kernels are tested against, and the tail fallback of
-// Unpack when src has no slack to over-read.
+// specialized kernels are tested against, the decoder of widths 25–32,
+// and the tail fallback of Unpack when src has no slack to over-read.
 func UnpackRef(src []byte, out []uint32, b uint) int {
 	var acc uint64
 	var nbits uint
@@ -140,7 +147,8 @@ func VPack128(dst []byte, in *[128]uint32, b uint) []byte {
 
 // VUnpackRef reverses VPack128 with the generic accumulator loop,
 // filling out from src (16*b bytes) and returning bytes used. It is
-// the reference the vertical kernels are tested against.
+// the reference the vertical kernels are tested against and the
+// decoder of widths 25–32.
 func VUnpackRef(src []byte, out *[128]uint32, b uint) int {
 	if b == 0 {
 		for i := range out {
@@ -172,10 +180,16 @@ func VUnpackRef(src []byte, out *[128]uint32, b uint) int {
 	return int(16 * b)
 }
 
-// VUnpack reverses VPack128 through the width-specialized unrolled
-// kernel, returning bytes used (16*b).
+// VUnpack reverses VPack128, returning bytes used (16*b). Values 0–126
+// decode through the base kernel at base 0. Value 127 is row 31 of lane
+// 3, the top b bits of that lane's last word (output word 4(b-1)+3), so
+// one shift finishes the block.
 func VUnpack(src []byte, out *[128]uint32, b uint) int {
-	vunpackDispatch(src, out, b)
+	vunpackBaseDispatch(src, (*[127]uint32)(out[:127]), 0, b)
+	out[127] = 0
+	if b > 0 {
+		out[127] = binary.LittleEndian.Uint32(src[16*b-4:]) >> (32 - b)
+	}
 	return int(16 * b)
 }
 
@@ -197,4 +211,37 @@ func VUnpackDelta(src []byte, out *[127]uint32, prev uint32, b uint) int {
 func VUnpackBase(src []byte, out *[127]uint32, base uint32, b uint) int {
 	vunpackBaseDispatch(src, out, base, b)
 	return int(16 * b)
+}
+
+// unpackWide, vunpackDeltaWide and vunpackBaseWide serve the widths the
+// generated switches do not unroll (25–32) through the reference loops,
+// and panic on a width above 32, which no packer writes.
+func unpackWide(src []byte, out *[32]uint32, b uint) {
+	checkWidth(b)
+	UnpackRef(src, out[:], b)
+}
+
+func vunpackDeltaWide(src []byte, out *[127]uint32, prev uint32, b uint) {
+	checkWidth(b)
+	var dec [128]uint32
+	VUnpackRef(src, &dec, b)
+	for i := range out {
+		prev += dec[i]
+		out[i] = prev
+	}
+}
+
+func vunpackBaseWide(src []byte, out *[127]uint32, base uint32, b uint) {
+	checkWidth(b)
+	var dec [128]uint32
+	VUnpackRef(src, &dec, b)
+	for i := range out {
+		out[i] = base + dec[i]
+	}
+}
+
+func checkWidth(b uint) {
+	if b > 32 {
+		panic("kernels: bit width out of range")
+	}
 }

@@ -1202,530 +1202,6 @@ func unpack24(src []byte, out *[32]uint32) {
 	out[31] = w92 >> 8
 }
 
-// unpack25 decodes 32 25-bit values (100 bytes) from src into out.
-func unpack25(src []byte, out *[32]uint32) {
-	_ = src[99]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0x1ffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>25 | w4<<7) & 0x1ffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>18 | w8<<14) & 0x1ffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>11 | w12<<21) & 0x1ffffff
-	out[4] = w12 >> 4 & 0x1ffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[5] = (w12>>29 | w16<<3) & 0x1ffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[6] = (w16>>22 | w20<<10) & 0x1ffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[7] = (w20>>15 | w24<<17) & 0x1ffffff
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[8] = (w24>>8 | w28<<24) & 0x1ffffff
-	out[9] = w28 >> 1 & 0x1ffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[10] = (w28>>26 | w32<<6) & 0x1ffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[11] = (w32>>19 | w36<<13) & 0x1ffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[12] = (w36>>12 | w40<<20) & 0x1ffffff
-	out[13] = w40 >> 5 & 0x1ffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[14] = (w40>>30 | w44<<2) & 0x1ffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[15] = (w44>>23 | w48<<9) & 0x1ffffff
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[16] = (w48>>16 | w52<<16) & 0x1ffffff
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[17] = (w52>>9 | w56<<23) & 0x1ffffff
-	out[18] = w56 >> 2 & 0x1ffffff
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[19] = (w56>>27 | w60<<5) & 0x1ffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[20] = (w60>>20 | w64<<12) & 0x1ffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[21] = (w64>>13 | w68<<19) & 0x1ffffff
-	out[22] = w68 >> 6 & 0x1ffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[23] = (w68>>31 | w72<<1) & 0x1ffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[24] = (w72>>24 | w76<<8) & 0x1ffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[25] = (w76>>17 | w80<<15) & 0x1ffffff
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[26] = (w80>>10 | w84<<22) & 0x1ffffff
-	out[27] = w84 >> 3 & 0x1ffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[28] = (w84>>28 | w88<<4) & 0x1ffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[29] = (w88>>21 | w92<<11) & 0x1ffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[30] = (w92>>14 | w96<<18) & 0x1ffffff
-	out[31] = w96 >> 7
-}
-
-// unpack26 decodes 32 26-bit values (104 bytes) from src into out.
-func unpack26(src []byte, out *[32]uint32) {
-	_ = src[103]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0x3ffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>26 | w4<<6) & 0x3ffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>20 | w8<<12) & 0x3ffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>14 | w12<<18) & 0x3ffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = (w12>>8 | w16<<24) & 0x3ffffff
-	out[5] = w16 >> 2 & 0x3ffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[6] = (w16>>28 | w20<<4) & 0x3ffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[7] = (w20>>22 | w24<<10) & 0x3ffffff
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[8] = (w24>>16 | w28<<16) & 0x3ffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[9] = (w28>>10 | w32<<22) & 0x3ffffff
-	out[10] = w32 >> 4 & 0x3ffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[11] = (w32>>30 | w36<<2) & 0x3ffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[12] = (w36>>24 | w40<<8) & 0x3ffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[13] = (w40>>18 | w44<<14) & 0x3ffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[14] = (w44>>12 | w48<<20) & 0x3ffffff
-	out[15] = w48 >> 6
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[16] = w52 & 0x3ffffff
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[17] = (w52>>26 | w56<<6) & 0x3ffffff
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[18] = (w56>>20 | w60<<12) & 0x3ffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[19] = (w60>>14 | w64<<18) & 0x3ffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[20] = (w64>>8 | w68<<24) & 0x3ffffff
-	out[21] = w68 >> 2 & 0x3ffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[22] = (w68>>28 | w72<<4) & 0x3ffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[23] = (w72>>22 | w76<<10) & 0x3ffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[24] = (w76>>16 | w80<<16) & 0x3ffffff
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[25] = (w80>>10 | w84<<22) & 0x3ffffff
-	out[26] = w84 >> 4 & 0x3ffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[27] = (w84>>30 | w88<<2) & 0x3ffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[28] = (w88>>24 | w92<<8) & 0x3ffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[29] = (w92>>18 | w96<<14) & 0x3ffffff
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[30] = (w96>>12 | w100<<20) & 0x3ffffff
-	out[31] = w100 >> 6
-}
-
-// unpack27 decodes 32 27-bit values (108 bytes) from src into out.
-func unpack27(src []byte, out *[32]uint32) {
-	_ = src[107]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0x7ffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>27 | w4<<5) & 0x7ffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>22 | w8<<10) & 0x7ffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>17 | w12<<15) & 0x7ffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = (w12>>12 | w16<<20) & 0x7ffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[5] = (w16>>7 | w20<<25) & 0x7ffffff
-	out[6] = w20 >> 2 & 0x7ffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[7] = (w20>>29 | w24<<3) & 0x7ffffff
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[8] = (w24>>24 | w28<<8) & 0x7ffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[9] = (w28>>19 | w32<<13) & 0x7ffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[10] = (w32>>14 | w36<<18) & 0x7ffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[11] = (w36>>9 | w40<<23) & 0x7ffffff
-	out[12] = w40 >> 4 & 0x7ffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[13] = (w40>>31 | w44<<1) & 0x7ffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[14] = (w44>>26 | w48<<6) & 0x7ffffff
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[15] = (w48>>21 | w52<<11) & 0x7ffffff
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[16] = (w52>>16 | w56<<16) & 0x7ffffff
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[17] = (w56>>11 | w60<<21) & 0x7ffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[18] = (w60>>6 | w64<<26) & 0x7ffffff
-	out[19] = w64 >> 1 & 0x7ffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[20] = (w64>>28 | w68<<4) & 0x7ffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[21] = (w68>>23 | w72<<9) & 0x7ffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[22] = (w72>>18 | w76<<14) & 0x7ffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[23] = (w76>>13 | w80<<19) & 0x7ffffff
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[24] = (w80>>8 | w84<<24) & 0x7ffffff
-	out[25] = w84 >> 3 & 0x7ffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[26] = (w84>>30 | w88<<2) & 0x7ffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[27] = (w88>>25 | w92<<7) & 0x7ffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[28] = (w92>>20 | w96<<12) & 0x7ffffff
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[29] = (w96>>15 | w100<<17) & 0x7ffffff
-	w104 := binary.LittleEndian.Uint32(src[104:])
-	out[30] = (w100>>10 | w104<<22) & 0x7ffffff
-	out[31] = w104 >> 5
-}
-
-// unpack28 decodes 32 28-bit values (112 bytes) from src into out.
-func unpack28(src []byte, out *[32]uint32) {
-	_ = src[111]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0xfffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>28 | w4<<4) & 0xfffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>24 | w8<<8) & 0xfffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>20 | w12<<12) & 0xfffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = (w12>>16 | w16<<16) & 0xfffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[5] = (w16>>12 | w20<<20) & 0xfffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[6] = (w20>>8 | w24<<24) & 0xfffffff
-	out[7] = w24 >> 4
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[8] = w28 & 0xfffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[9] = (w28>>28 | w32<<4) & 0xfffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[10] = (w32>>24 | w36<<8) & 0xfffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[11] = (w36>>20 | w40<<12) & 0xfffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[12] = (w40>>16 | w44<<16) & 0xfffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[13] = (w44>>12 | w48<<20) & 0xfffffff
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[14] = (w48>>8 | w52<<24) & 0xfffffff
-	out[15] = w52 >> 4
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[16] = w56 & 0xfffffff
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[17] = (w56>>28 | w60<<4) & 0xfffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[18] = (w60>>24 | w64<<8) & 0xfffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[19] = (w64>>20 | w68<<12) & 0xfffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[20] = (w68>>16 | w72<<16) & 0xfffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[21] = (w72>>12 | w76<<20) & 0xfffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[22] = (w76>>8 | w80<<24) & 0xfffffff
-	out[23] = w80 >> 4
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[24] = w84 & 0xfffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[25] = (w84>>28 | w88<<4) & 0xfffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[26] = (w88>>24 | w92<<8) & 0xfffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[27] = (w92>>20 | w96<<12) & 0xfffffff
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[28] = (w96>>16 | w100<<16) & 0xfffffff
-	w104 := binary.LittleEndian.Uint32(src[104:])
-	out[29] = (w100>>12 | w104<<20) & 0xfffffff
-	w108 := binary.LittleEndian.Uint32(src[108:])
-	out[30] = (w104>>8 | w108<<24) & 0xfffffff
-	out[31] = w108 >> 4
-}
-
-// unpack29 decodes 32 29-bit values (116 bytes) from src into out.
-func unpack29(src []byte, out *[32]uint32) {
-	_ = src[115]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0x1fffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>29 | w4<<3) & 0x1fffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>26 | w8<<6) & 0x1fffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>23 | w12<<9) & 0x1fffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = (w12>>20 | w16<<12) & 0x1fffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[5] = (w16>>17 | w20<<15) & 0x1fffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[6] = (w20>>14 | w24<<18) & 0x1fffffff
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[7] = (w24>>11 | w28<<21) & 0x1fffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[8] = (w28>>8 | w32<<24) & 0x1fffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[9] = (w32>>5 | w36<<27) & 0x1fffffff
-	out[10] = w36 >> 2 & 0x1fffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[11] = (w36>>31 | w40<<1) & 0x1fffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[12] = (w40>>28 | w44<<4) & 0x1fffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[13] = (w44>>25 | w48<<7) & 0x1fffffff
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[14] = (w48>>22 | w52<<10) & 0x1fffffff
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[15] = (w52>>19 | w56<<13) & 0x1fffffff
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[16] = (w56>>16 | w60<<16) & 0x1fffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[17] = (w60>>13 | w64<<19) & 0x1fffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[18] = (w64>>10 | w68<<22) & 0x1fffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[19] = (w68>>7 | w72<<25) & 0x1fffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[20] = (w72>>4 | w76<<28) & 0x1fffffff
-	out[21] = w76 >> 1 & 0x1fffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[22] = (w76>>30 | w80<<2) & 0x1fffffff
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[23] = (w80>>27 | w84<<5) & 0x1fffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[24] = (w84>>24 | w88<<8) & 0x1fffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[25] = (w88>>21 | w92<<11) & 0x1fffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[26] = (w92>>18 | w96<<14) & 0x1fffffff
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[27] = (w96>>15 | w100<<17) & 0x1fffffff
-	w104 := binary.LittleEndian.Uint32(src[104:])
-	out[28] = (w100>>12 | w104<<20) & 0x1fffffff
-	w108 := binary.LittleEndian.Uint32(src[108:])
-	out[29] = (w104>>9 | w108<<23) & 0x1fffffff
-	w112 := binary.LittleEndian.Uint32(src[112:])
-	out[30] = (w108>>6 | w112<<26) & 0x1fffffff
-	out[31] = w112 >> 3
-}
-
-// unpack30 decodes 32 30-bit values (120 bytes) from src into out.
-func unpack30(src []byte, out *[32]uint32) {
-	_ = src[119]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0x3fffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>30 | w4<<2) & 0x3fffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>28 | w8<<4) & 0x3fffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>26 | w12<<6) & 0x3fffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = (w12>>24 | w16<<8) & 0x3fffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[5] = (w16>>22 | w20<<10) & 0x3fffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[6] = (w20>>20 | w24<<12) & 0x3fffffff
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[7] = (w24>>18 | w28<<14) & 0x3fffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[8] = (w28>>16 | w32<<16) & 0x3fffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[9] = (w32>>14 | w36<<18) & 0x3fffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[10] = (w36>>12 | w40<<20) & 0x3fffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[11] = (w40>>10 | w44<<22) & 0x3fffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[12] = (w44>>8 | w48<<24) & 0x3fffffff
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[13] = (w48>>6 | w52<<26) & 0x3fffffff
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[14] = (w52>>4 | w56<<28) & 0x3fffffff
-	out[15] = w56 >> 2
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[16] = w60 & 0x3fffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[17] = (w60>>30 | w64<<2) & 0x3fffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[18] = (w64>>28 | w68<<4) & 0x3fffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[19] = (w68>>26 | w72<<6) & 0x3fffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[20] = (w72>>24 | w76<<8) & 0x3fffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[21] = (w76>>22 | w80<<10) & 0x3fffffff
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[22] = (w80>>20 | w84<<12) & 0x3fffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[23] = (w84>>18 | w88<<14) & 0x3fffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[24] = (w88>>16 | w92<<16) & 0x3fffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[25] = (w92>>14 | w96<<18) & 0x3fffffff
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[26] = (w96>>12 | w100<<20) & 0x3fffffff
-	w104 := binary.LittleEndian.Uint32(src[104:])
-	out[27] = (w100>>10 | w104<<22) & 0x3fffffff
-	w108 := binary.LittleEndian.Uint32(src[108:])
-	out[28] = (w104>>8 | w108<<24) & 0x3fffffff
-	w112 := binary.LittleEndian.Uint32(src[112:])
-	out[29] = (w108>>6 | w112<<26) & 0x3fffffff
-	w116 := binary.LittleEndian.Uint32(src[116:])
-	out[30] = (w112>>4 | w116<<28) & 0x3fffffff
-	out[31] = w116 >> 2
-}
-
-// unpack31 decodes 32 31-bit values (124 bytes) from src into out.
-func unpack31(src []byte, out *[32]uint32) {
-	_ = src[123]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0 & 0x7fffffff
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = (w0>>31 | w4<<1) & 0x7fffffff
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = (w4>>30 | w8<<2) & 0x7fffffff
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = (w8>>29 | w12<<3) & 0x7fffffff
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = (w12>>28 | w16<<4) & 0x7fffffff
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[5] = (w16>>27 | w20<<5) & 0x7fffffff
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[6] = (w20>>26 | w24<<6) & 0x7fffffff
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[7] = (w24>>25 | w28<<7) & 0x7fffffff
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[8] = (w28>>24 | w32<<8) & 0x7fffffff
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[9] = (w32>>23 | w36<<9) & 0x7fffffff
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[10] = (w36>>22 | w40<<10) & 0x7fffffff
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[11] = (w40>>21 | w44<<11) & 0x7fffffff
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[12] = (w44>>20 | w48<<12) & 0x7fffffff
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[13] = (w48>>19 | w52<<13) & 0x7fffffff
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[14] = (w52>>18 | w56<<14) & 0x7fffffff
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[15] = (w56>>17 | w60<<15) & 0x7fffffff
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[16] = (w60>>16 | w64<<16) & 0x7fffffff
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[17] = (w64>>15 | w68<<17) & 0x7fffffff
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[18] = (w68>>14 | w72<<18) & 0x7fffffff
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[19] = (w72>>13 | w76<<19) & 0x7fffffff
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[20] = (w76>>12 | w80<<20) & 0x7fffffff
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[21] = (w80>>11 | w84<<21) & 0x7fffffff
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[22] = (w84>>10 | w88<<22) & 0x7fffffff
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[23] = (w88>>9 | w92<<23) & 0x7fffffff
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[24] = (w92>>8 | w96<<24) & 0x7fffffff
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[25] = (w96>>7 | w100<<25) & 0x7fffffff
-	w104 := binary.LittleEndian.Uint32(src[104:])
-	out[26] = (w100>>6 | w104<<26) & 0x7fffffff
-	w108 := binary.LittleEndian.Uint32(src[108:])
-	out[27] = (w104>>5 | w108<<27) & 0x7fffffff
-	w112 := binary.LittleEndian.Uint32(src[112:])
-	out[28] = (w108>>4 | w112<<28) & 0x7fffffff
-	w116 := binary.LittleEndian.Uint32(src[116:])
-	out[29] = (w112>>3 | w116<<29) & 0x7fffffff
-	w120 := binary.LittleEndian.Uint32(src[120:])
-	out[30] = (w116>>2 | w120<<30) & 0x7fffffff
-	out[31] = w120 >> 1
-}
-
-// unpack32 decodes 32 32-bit values (128 bytes) from src into out.
-func unpack32(src []byte, out *[32]uint32) {
-	_ = src[127]
-	w0 := binary.LittleEndian.Uint32(src[0:])
-	out[0] = w0
-	w4 := binary.LittleEndian.Uint32(src[4:])
-	out[1] = w4
-	w8 := binary.LittleEndian.Uint32(src[8:])
-	out[2] = w8
-	w12 := binary.LittleEndian.Uint32(src[12:])
-	out[3] = w12
-	w16 := binary.LittleEndian.Uint32(src[16:])
-	out[4] = w16
-	w20 := binary.LittleEndian.Uint32(src[20:])
-	out[5] = w20
-	w24 := binary.LittleEndian.Uint32(src[24:])
-	out[6] = w24
-	w28 := binary.LittleEndian.Uint32(src[28:])
-	out[7] = w28
-	w32 := binary.LittleEndian.Uint32(src[32:])
-	out[8] = w32
-	w36 := binary.LittleEndian.Uint32(src[36:])
-	out[9] = w36
-	w40 := binary.LittleEndian.Uint32(src[40:])
-	out[10] = w40
-	w44 := binary.LittleEndian.Uint32(src[44:])
-	out[11] = w44
-	w48 := binary.LittleEndian.Uint32(src[48:])
-	out[12] = w48
-	w52 := binary.LittleEndian.Uint32(src[52:])
-	out[13] = w52
-	w56 := binary.LittleEndian.Uint32(src[56:])
-	out[14] = w56
-	w60 := binary.LittleEndian.Uint32(src[60:])
-	out[15] = w60
-	w64 := binary.LittleEndian.Uint32(src[64:])
-	out[16] = w64
-	w68 := binary.LittleEndian.Uint32(src[68:])
-	out[17] = w68
-	w72 := binary.LittleEndian.Uint32(src[72:])
-	out[18] = w72
-	w76 := binary.LittleEndian.Uint32(src[76:])
-	out[19] = w76
-	w80 := binary.LittleEndian.Uint32(src[80:])
-	out[20] = w80
-	w84 := binary.LittleEndian.Uint32(src[84:])
-	out[21] = w84
-	w88 := binary.LittleEndian.Uint32(src[88:])
-	out[22] = w88
-	w92 := binary.LittleEndian.Uint32(src[92:])
-	out[23] = w92
-	w96 := binary.LittleEndian.Uint32(src[96:])
-	out[24] = w96
-	w100 := binary.LittleEndian.Uint32(src[100:])
-	out[25] = w100
-	w104 := binary.LittleEndian.Uint32(src[104:])
-	out[26] = w104
-	w108 := binary.LittleEndian.Uint32(src[108:])
-	out[27] = w108
-	w112 := binary.LittleEndian.Uint32(src[112:])
-	out[28] = w112
-	w116 := binary.LittleEndian.Uint32(src[116:])
-	out[29] = w116
-	w120 := binary.LittleEndian.Uint32(src[120:])
-	out[30] = w120
-	w124 := binary.LittleEndian.Uint32(src[124:])
-	out[31] = w124
-}
-
 // unpackDispatch calls the width-b unpack kernel via a direct call per
 // case so callers' output arrays stay on the stack.
 func unpackDispatch(src []byte, out *[32]uint32, b uint) {
@@ -1780,23 +1256,7 @@ func unpackDispatch(src []byte, out *[32]uint32, b uint) {
 		unpack23(src, out)
 	case 24:
 		unpack24(src, out)
-	case 25:
-		unpack25(src, out)
-	case 26:
-		unpack26(src, out)
-	case 27:
-		unpack27(src, out)
-	case 28:
-		unpack28(src, out)
-	case 29:
-		unpack29(src, out)
-	case 30:
-		unpack30(src, out)
-	case 31:
-		unpack31(src, out)
-	case 32:
-		unpack32(src, out)
 	default:
-		panic("kernels: bit width out of range")
+		unpackWide(src, out, b)
 	}
 }
