@@ -136,7 +136,7 @@ func (p *bbcPosting) spans() spanReader { return &bbcReader{data: p.data} }
 
 func (p *bbcPosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *bbcPosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

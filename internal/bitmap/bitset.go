@@ -45,7 +45,7 @@ func (p *bitsetPosting) Decompress() []uint32 {
 	return p.DecompressAppend(make([]uint32, 0, p.n))
 }
 
-// DecompressAppend implements core.DecompressAppender.
+// DecompressAppend implements core.Posting.
 func (p *bitsetPosting) DecompressAppend(dst []uint32) []uint32 {
 	return kernels.ExtractWords(dst, p.words, 0)
 }

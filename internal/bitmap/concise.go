@@ -135,7 +135,7 @@ func (p *concisePosting) spans() spanReader { return &conciseReader{words: p.wor
 
 func (p *concisePosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *concisePosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

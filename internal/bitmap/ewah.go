@@ -97,7 +97,7 @@ func (p *ewahPosting) spans() spanReader { return &ewahReader{words: p.words} }
 
 func (p *ewahPosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *ewahPosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

@@ -82,7 +82,7 @@ func (p *plwahPosting) spans() spanReader { return &plwahReader{words: p.words} 
 
 func (p *plwahPosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *plwahPosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

@@ -129,7 +129,7 @@ func (p *roaringPosting) Decompress() []uint32 {
 	return p.DecompressAppend(make([]uint32, 0, p.n))
 }
 
-// DecompressAppend implements core.DecompressAppender.
+// DecompressAppend implements core.Posting.
 func (p *roaringPosting) DecompressAppend(dst []uint32) []uint32 {
 	for i, c := range p.cs {
 		dst = c.appendAll(dst, uint32(p.keys[i])<<16)

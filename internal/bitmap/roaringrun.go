@@ -136,7 +136,7 @@ func (p *roaringRunPosting) Decompress() []uint32 {
 	return p.DecompressAppend(make([]uint32, 0, p.n))
 }
 
-// DecompressAppend implements core.DecompressAppender.
+// DecompressAppend implements core.Posting.
 func (p *roaringRunPosting) DecompressAppend(dst []uint32) []uint32 {
 	for i, c := range p.cs {
 		dst = c.appendAll(dst, uint32(p.keys[i])<<16)

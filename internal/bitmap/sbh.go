@@ -97,7 +97,7 @@ func (p *sbhPosting) spans() spanReader { return &sbhReader{data: p.data} }
 
 func (p *sbhPosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *sbhPosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

@@ -104,8 +104,8 @@ func decompressSpans(r spanReader, sizeHint int) []uint32 {
 }
 
 // decompressSpansAppend appends all set-bit positions of a span stream
-// to dst — the core.DecompressAppender body shared by every RLE-style
-// codec in this package.
+// to dst — the DecompressAppend body shared by every RLE-style codec in
+// this package.
 func decompressSpansAppend(r spanReader, dst []uint32) []uint32 {
 	pos := uint64(0)
 	for {

@@ -164,7 +164,7 @@ func (p *valwahPosting) spans() spanReader {
 
 func (p *valwahPosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *valwahPosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

@@ -92,7 +92,7 @@ func (p *wahPosting) spans() spanReader { return &wahReader{words: p.words} }
 
 func (p *wahPosting) Decompress() []uint32 { return decompressSpans(p.spans(), p.n) }
 
-// DecompressAppend implements core.DecompressAppender on the span stream.
+// DecompressAppend implements core.Posting on the span stream.
 func (p *wahPosting) DecompressAppend(dst []uint32) []uint32 {
 	return decompressSpansAppend(p.spans(), dst)
 }

@@ -42,31 +42,18 @@ type Posting interface {
 	// SizeBytes reports the compressed footprint in bytes, including any
 	// auxiliary structures (skip pointers, container metadata).
 	SizeBytes() int
-	// Decompress materializes the full sorted value list.
+	// Decompress materializes the full sorted value list in a slice
+	// the caller owns.
 	Decompress() []uint32
-}
-
-// DecompressAppender is an optional Posting extension for callers that
-// manage their own decode buffers (arena or pool allocators in the query
-// engine): the posting's values are appended to dst, growing it only
-// when capacity runs out, so steady-state decodes are allocation-free.
-//
-// Implementations must treat dst[:len(dst)] as caller-owned data and
-// only append; every codec in this module implements it.
-type DecompressAppender interface {
 	// DecompressAppend appends the full sorted value list to dst and
-	// returns the extended slice.
+	// returns the extended slice, growing dst only when its capacity
+	// runs out; dst[:len(dst)] is left as it was.
 	DecompressAppend(dst []uint32) []uint32
 }
 
-// DecompressAppend appends p's values to dst, using the posting's native
-// DecompressAppend when available and falling back to Decompress plus
-// copy otherwise. It is the decode entry point for pooled buffers.
+// DecompressAppend appends p's values to dst: p.DecompressAppend(dst).
 func DecompressAppend(p Posting, dst []uint32) []uint32 {
-	if da, ok := p.(DecompressAppender); ok {
-		return da.DecompressAppend(dst)
-	}
-	return append(dst, p.Decompress()...)
+	return p.DecompressAppend(dst)
 }
 
 // GrowLen extends dst by n elements (reallocating only when capacity is

@@ -38,12 +38,18 @@ type badPosting struct {
 func (p badPosting) Len() int             { return p.n }
 func (p badPosting) SizeBytes() int       { return 4 * len(p.values) }
 func (p badPosting) Decompress() []uint32 { return p.values }
+func (p badPosting) DecompressAppend(dst []uint32) []uint32 {
+	return append(dst, p.values...)
+}
 
 type panicPosting struct{}
 
 func (panicPosting) Len() int             { return 1 }
 func (panicPosting) SizeBytes() int       { return 1 }
 func (panicPosting) Decompress() []uint32 { panic("corrupt payload") }
+func (panicPosting) DecompressAppend([]uint32) []uint32 {
+	panic("corrupt payload")
+}
 
 func TestVerifyDecompress(t *testing.T) {
 	if err := VerifyDecompress(badPosting{values: []uint32{1, 2}, n: 2}); err != nil {

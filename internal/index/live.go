@@ -892,9 +892,9 @@ func (l *Live) Conjunctive(terms ...string) ([]uint32, error) {
 // segment, so the merge is a disjoint union, and a lone answer is the
 // result as it is. Both evaluators must hand back answers the caller
 // owns: a sealed answer is mapped to global ids and masked in place.
-// (*Index).Conjunctive does: ops.Intersect copies its answer out, or
-// returns one posting's Decompress, fresh for every codec. Only the AND
-// comes through here; the live OR is or (liveor.go).
+// (*Index).Conjunctive does: ops.Intersect returns the buffer it
+// decoded, or one posting's Decompress, fresh for every codec. Only the
+// AND comes through here; the live OR is or (liveor.go).
 func (l *Live) boolean(sealed func(*Index, ...string) ([]uint32, error), mem func(*MemSegment, []string) []uint32, terms []string) ([]uint32, error) {
 	var lists [][]uint32
 	add := func(g []uint32) {

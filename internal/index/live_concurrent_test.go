@@ -123,9 +123,10 @@ func rankedDocs(rs []Result) ([]uint32, error) {
 // a sealed segment's evaluation return an error.
 type failingPosting struct{}
 
-func (failingPosting) Len() int             { return 1 }
-func (failingPosting) SizeBytes() int       { return 4 }
-func (failingPosting) Decompress() []uint32 { return []uint32{0} }
+func (failingPosting) Len() int                               { return 1 }
+func (failingPosting) SizeBytes() int                         { return 4 }
+func (failingPosting) Decompress() []uint32                   { return []uint32{0} }
+func (failingPosting) DecompressAppend(dst []uint32) []uint32 { return append(dst, 0) }
 func (failingPosting) IntersectWith(core.Posting) ([]uint32, error) {
 	return nil, errors.New("failing posting")
 }

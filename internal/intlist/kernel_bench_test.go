@@ -49,7 +49,7 @@ func BenchmarkDecode(b *testing.B) {
 		b.Run(c.Name(), func(b *testing.B) {
 			b.SetBytes(int64(4 * want))
 			for i := 0; i < b.N; i++ {
-				buf = core.DecompressAppend(p, buf[:0])
+				buf = p.DecompressAppend(buf[:0])
 			}
 			if len(buf) != want {
 				b.Fatalf("decoded %d of %d", len(buf), want)

@@ -189,7 +189,7 @@ func (p *listPosting) Decompress() []uint32 {
 	return p.DecompressAppend(make([]uint32, 0, p.n))
 }
 
-// DecompressAppend implements core.DecompressAppender: blocks decode
+// DecompressAppend implements core.Posting: blocks decode
 // directly into positioned sub-slices of the grown destination.
 func (p *listPosting) DecompressAppend(dst []uint32) []uint32 {
 	base := len(dst)

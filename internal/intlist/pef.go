@@ -104,7 +104,7 @@ func (p *pefPosting) Decompress() []uint32 {
 	return p.DecompressAppend(make([]uint32, 0, p.n))
 }
 
-// DecompressAppend implements core.DecompressAppender via the iterator.
+// DecompressAppend implements core.Posting via the iterator.
 func (p *pefPosting) DecompressAppend(dst []uint32) []uint32 {
 	it := p.Iterator()
 	for {

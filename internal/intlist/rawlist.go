@@ -39,7 +39,7 @@ func (p *rawPosting) Decompress() []uint32 {
 	return out
 }
 
-// DecompressAppend implements core.DecompressAppender.
+// DecompressAppend implements core.Posting.
 func (p *rawPosting) DecompressAppend(dst []uint32) []uint32 {
 	return append(dst, p.values...)
 }

@@ -98,7 +98,7 @@ func (p *storedPosting) Decompress() []uint32 {
 	return p.DecompressAppend(make([]uint32, 0, p.n))
 }
 
-// DecompressAppend implements core.DecompressAppender; block fetches go
+// DecompressAppend implements core.Posting; block fetches go
 // through the Fetcher exactly as in Decompress.
 func (p *storedPosting) DecompressAppend(dst []uint32) []uint32 {
 	base := len(dst)

@@ -132,7 +132,7 @@ func (s *StoredWhole) Decompress() []uint32 {
 // DecompressAppend fetches the whole payload, then decodes into dst.
 func (s *StoredWhole) DecompressAppend(dst []uint32) []uint32 {
 	s.d.account(s.size)
-	return core.DecompressAppend(s.inner, dst)
+	return s.inner.DecompressAppend(dst)
 }
 
 // IntersectWith fetches both whole payloads, then runs the native AND.

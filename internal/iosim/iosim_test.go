@@ -153,6 +153,7 @@ func TestStoreWholeRejectsUnserializable(t *testing.T) {
 
 type fakePosting struct{}
 
-func (fakePosting) Len() int             { return 0 }
-func (fakePosting) SizeBytes() int       { return 0 }
-func (fakePosting) Decompress() []uint32 { return nil }
+func (fakePosting) Len() int                               { return 0 }
+func (fakePosting) SizeBytes() int                         { return 0 }
+func (fakePosting) Decompress() []uint32                   { return nil }
+func (fakePosting) DecompressAppend(dst []uint32) []uint32 { return dst }

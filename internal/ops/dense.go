@@ -76,10 +76,7 @@ func (w Words) Bounds() (lo, hi uint32, ok bool) {
 
 // accumulator is the dense union's pooled state. words is zero across
 // its whole capacity between uses (drain clears what it reads), so a
-// warm union neither allocates nor clears an accumulator. It is pooled
-// apart from Intersect's arena, which keeps up to 8 MiB of decode
-// scratch: a union holding an arena would keep one more arena, and its
-// scratch, alive per concurrent OR.
+// warm union neither allocates nor clears an accumulator.
 type accumulator struct {
 	words []uint64
 	block [kernels.BlockLen]uint32 // one decoded list block

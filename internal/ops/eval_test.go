@@ -125,10 +125,10 @@ func TestEngineMatchesSerialEval(t *testing.T) {
 	}
 }
 
-// TestOpsConcurrentPooled: many goroutines share the arena pool through
-// Intersect, Union and Eval (the serving shape: one process, many
-// request goroutines). Run with -race it checks that no pooled buffer
-// is shared across calls.
+// TestOpsConcurrentPooled: many goroutines run Intersect, Union and
+// Eval at once (the serving shape: one process, many request
+// goroutines), the dense unions sharing the pooled word accumulator.
+// Run with -race it checks that no pooled buffer is shared across calls.
 func TestOpsConcurrentPooled(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	ps := randomPostings(t, r, 8, 600)
@@ -234,45 +234,6 @@ func TestProbeAliasing(t *testing.T) {
 		if cur[0] != 2 || cur[1] != 4 || cur[2] != 10 {
 			t.Fatalf("%s: cur prefix not overwritten in place: %v", probe.name, cur[:3])
 		}
-	}
-}
-
-// TestArenaReuse: buffers put back into an arena are handed out again.
-// A fresh arena (not from the pool) keeps the free list deterministic.
-func TestArenaReuse(t *testing.T) {
-	a := &arena{}
-	b1 := a.get(100)
-	b1 = append(b1, 1, 2, 3)
-	a.put(b1)
-	b2 := a.get(50)
-	if cap(b2) < 100 {
-		t.Fatalf("expected reuse of the 100-cap buffer, got cap %d", cap(b2))
-	}
-	if len(b2) != 0 {
-		t.Fatalf("reused buffer should have length 0, got %d", len(b2))
-	}
-	// A buffer that is too small is not returned for a larger request.
-	a.put(b2)
-	b3 := a.get(1 << 12)
-	if cap(b3) < 1<<12 {
-		t.Fatalf("got undersized buffer cap %d", cap(b3))
-	}
-}
-
-// TestArenaRetentionBounds: putArena trims scratch beyond the caps so a
-// pathological query cannot pin unbounded memory in the pool.
-func TestArenaRetentionBounds(t *testing.T) {
-	a := &arena{}
-	for i := 0; i < 2*arenaMaxRetainBufs; i++ {
-		a.put(make([]uint32, 0, 8))
-	}
-	a.put(make([]uint32, 0, 2*arenaMaxRetainElems))
-	putArena(a)
-	if len(a.free) > arenaMaxRetainBufs {
-		t.Fatalf("free list not trimmed: %d buffers", len(a.free))
-	}
-	if a.retained > arenaMaxRetainElems {
-		t.Fatalf("retained %d elems exceeds cap %d", a.retained, arenaMaxRetainElems)
 	}
 }
 

@@ -21,16 +21,16 @@ const bucketEnumMax = 128
 
 // mixedIntersect intersects p and q via the bucket×seeker kernel when
 // one side is a BucketProber and the other a Seeker, returning
-// ok=false when the pairing does not apply. The result is arena-owned.
-func mixedIntersect(a *arena, p, q core.Posting) ([]uint32, bool) {
+// ok=false when the pairing does not apply. The result is a fresh slice.
+func mixedIntersect(p, q core.Posting) ([]uint32, bool) {
 	if bm, ok := p.(core.BucketProber); ok {
 		if s, ok2 := q.(core.Seeker); ok2 {
-			return intersectBucketSeeker(a, bm, s, q.Len()), true
+			return intersectBucketSeeker(bm, s, q.Len()), true
 		}
 	}
 	if bm, ok := q.(core.BucketProber); ok {
 		if s, ok2 := p.(core.Seeker); ok2 {
-			return intersectBucketSeeker(a, bm, s, p.Len()), true
+			return intersectBucketSeeker(bm, s, p.Len()), true
 		}
 	}
 	return nil, false
@@ -38,14 +38,15 @@ func mixedIntersect(a *arena, p, q core.Posting) ([]uint32, bool) {
 
 // intersectBucketSeeker walks bucket keys and the list iterator in
 // tandem. Inside a matching bucket: a small bucket (<= bucketEnumMax)
-// enumerates its values into arena scratch and seeks the list for each
-// — cost |bucket|·log on the skip array; a large bucket (dense bitmap
+// enumerates its values into one scratch array and seeks the list for
+// each — cost |bucket|·log on the skip array; a large bucket (dense bitmap
 // or long run container) iterates the list's values for the bucket's
 // key range and probes membership — cost (list values in range) with
 // O(1) word/interval probes and no decompression of the bitmap side.
-func intersectBucketSeeker(a *arena, bm core.BucketProber, s core.Seeker, listLen int) []uint32 {
+func intersectBucketSeeker(bm core.BucketProber, s core.Seeker, listLen int) []uint32 {
 	it := s.Iterator()
-	out := a.get(min(bm.Len(), listLen))
+	out := make([]uint32, 0, min(bm.Len(), listLen))
+	var scratch [bucketEnumMax]uint32
 	v, ok := it.Next()
 	nb := bm.NumBuckets()
 	for bi := 0; ok && bi < nb; {
@@ -61,8 +62,7 @@ func intersectBucketSeeker(a *arena, bm core.BucketProber, s core.Seeker, listLe
 			v, ok = it.SeekGEQ(uint32(key) << 16)
 		default:
 			if bn := bm.BucketLen(bi); bn <= bucketEnumMax {
-				scratch := bm.AppendBucket(bi, a.get(bn))
-				for _, bv := range scratch {
+				for _, bv := range bm.AppendBucket(bi, scratch[:0]) {
 					if v < bv {
 						v, ok = it.SeekGEQ(bv)
 						if !ok {
@@ -73,7 +73,6 @@ func intersectBucketSeeker(a *arena, bm core.BucketProber, s core.Seeker, listLe
 						out = append(out, bv)
 					}
 				}
-				a.put(scratch)
 				if !ok {
 					break
 				}

@@ -67,6 +67,10 @@ const mergeRatio = 16
 //     are similar (footnote 8);
 //   - mixed families fall back to decompress-and-merge for the
 //     non-seekable side ("bitmap vs list", §B.1).
+//
+// Intersect owns the buffer it decodes and returns it: the answer is a
+// fresh slice the caller may write into, and for two or more operands
+// it is non-nil even when empty. postings is never reordered.
 func Intersect(postings []core.Posting) ([]uint32, error) {
 	switch len(postings) {
 	case 0:
@@ -74,42 +78,11 @@ func Intersect(postings []core.Posting) ([]uint32, error) {
 	case 1:
 		return postings[0].Decompress(), nil
 	}
-	// The heavy lifting runs on a pooled arena: the operand sort and
-	// the initial decompression of the smallest operand reuse pooled
-	// scratch instead of allocating per call (the probe loop itself
-	// lives in intersectInto / probeAnd).
-	// The result is copied out so callers own an exact-size slice and
-	// the scratch can return to the pool.
-	a := getArena()
-	cur, err := intersectInto(a, postings)
-	if err != nil {
-		putArena(a)
-		return nil, err
-	}
-	out := make([]uint32, len(cur))
-	copy(out, cur)
-	a.put(cur)
-	putArena(a)
-	return out, nil
-}
-
-// intersectInto is Intersect with arena-backed scratch: the operand
-// sort uses the arena's posting stack and the initial decompression of
-// the smallest operand lands in a pooled buffer instead of the heap.
-// The returned slice is arena-owned (or a freshly allocated native-op
-// result, which the caller may adopt with put).
-func intersectInto(a *arena, postings []core.Posting) ([]uint32, error) {
-	switch len(postings) {
-	case 0:
-		return nil, nil
-	case 1:
-		return core.DecompressAppend(postings[0], a.get(postings[0].Len())), nil
-	}
-	base := len(a.postings)
-	a.postings = append(a.postings, postings...)
-	sorted := a.postings[base:]
+	// Sorting a stack copy (up to 8 operands) leaves the caller's slice
+	// as it was without allocating.
+	var buf [8]core.Posting
+	sorted := append(buf[:0], postings...)
 	sortPostingsByLen(sorted)
-	defer func() { a.postings = a.postings[:base] }()
 
 	var cur []uint32
 	haveCur := false
@@ -132,30 +105,33 @@ func intersectInto(a *arena, postings []core.Posting) ([]uint32, error) {
 	if !haveCur {
 		// Mixed-representation fast path: a bucketed bitmap against a
 		// skip-pointered list intersects with neither side decompressed.
-		if r, ok := mixedIntersect(a, sorted[0], sorted[1]); ok {
+		if r, ok := mixedIntersect(sorted[0], sorted[1]); ok {
 			cur = r
 			haveCur = true
 			rest = sorted[2:]
 		}
 	}
 	if !haveCur {
-		cur = core.DecompressAppend(sorted[0], a.get(sorted[0].Len()))
+		cur = sorted[0].Decompress()
 	}
 	for _, p := range rest {
 		if len(cur) == 0 {
-			return cur, nil
+			break
 		}
-		cur = probeAnd(a, cur, p)
+		cur = probeAnd(cur, p)
+	}
+	if cur == nil {
+		cur = []uint32{}
 	}
 	return cur, nil
 }
 
 // probeAnd intersects the running uncompressed result with one
-// compressed operand: skip/merge probes for Seekers (in place on cur),
-// the native bitmap-vs-list operator for ListProbers (adopting the
-// fresh result and recycling cur), and arena-buffered
-// decompress-and-merge otherwise.
-func probeAnd(a *arena, cur []uint32, p core.Posting) []uint32 {
+// compressed operand: skip/merge probes for Seekers and
+// decompress-and-merge otherwise, both in place on cur, and the native
+// bitmap-vs-list operator for ListProbers, whose fresh result replaces
+// cur.
+func probeAnd(cur []uint32, p core.Posting) []uint32 {
 	if s, ok := p.(core.Seeker); ok {
 		if p.Len() < mergeRatio*len(cur) {
 			return mergeProbe(cur, s.Iterator())
@@ -163,14 +139,9 @@ func probeAnd(a *arena, cur []uint32, p core.Posting) []uint32 {
 		return skipProbe(cur, s.Iterator())
 	}
 	if lp, ok := p.(core.ListProber); ok {
-		out := lp.IntersectList(cur)
-		a.put(cur)
-		return out
+		return lp.IntersectList(cur)
 	}
-	tmp := core.DecompressAppend(p, a.get(p.Len()))
-	cur = intersectAdaptiveInPlace(cur, tmp)
-	a.put(tmp)
-	return cur
+	return intersectAdaptiveInPlace(cur, p.Decompress())
 }
 
 // skipProbe keeps the elements of cur present in it, probing via SeekGEQ.
@@ -178,8 +149,7 @@ func probeAnd(a *arena, cur []uint32, p core.Posting) []uint32 {
 // Aliasing contract: the result is written into cur's own prefix
 // (out := cur[:0]); the write index never passes the read index, so the
 // filter is safe in place, and the returned slice shares cur's backing
-// array. Callers must treat cur as consumed — in arena terms, cur and
-// the result are ONE buffer, returned to the pool at most once.
+// array. Callers must treat cur as consumed.
 func skipProbe(cur []uint32, it core.Iterator) []uint32 {
 	out := cur[:0]
 	for _, v := range cur {

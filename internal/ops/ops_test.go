@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/codecs"
@@ -214,4 +215,89 @@ func equalU32(a, b []uint32) bool {
 		}
 	}
 	return true
+}
+
+// TestIntersectAnswerIsCallerOwned: Intersect's answer is a buffer
+// nothing else holds, on every path. Each codec meets itself (the native
+// pair for bitmaps, decode-and-probe in place for lists), Roaring (the
+// mixed bucket×seeker kernel for lists), SIMDBP128* (the mixed kernel
+// for Roaring, decode-and-probe for the other bitmaps) and WAH (the
+// decode and the bitmap-vs-list probe), with 2 and 3 operands. Writing
+// into an answer must change neither an operand nor a later identical
+// answer, the later answer must not overwrite the earlier one, the
+// operands' order must survive, and an empty answer is non-nil.
+func TestIntersectAnswerIsCallerOwned(t *testing.T) {
+	short := gen.Uniform(400, 1<<18, 1)
+	long := [][]uint32{gen.Uniform(40000, 1<<18, 2), gen.Uniform(30000, 1<<18, 3)}
+	// Odd values against even ones: the same shapes with an empty answer.
+	odd := make([]uint32, len(short))
+	for i, v := range short {
+		odd[i] = 2*(v>>1) + 1
+	}
+	odd = slices.Compact(odd)
+	even := make([][]uint32, len(long))
+	for i, l := range long {
+		even[i] = make([]uint32, len(l))
+		for j, v := range l {
+			even[i][j] = v &^ 1
+		}
+		even[i] = slices.Compact(even[i])
+	}
+	compress := func(name string, l []uint32) core.Posting {
+		c, err := codecs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Compress(l)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return p
+	}
+	for _, codec := range append(codecs.All(), codecs.Extensions()...) {
+		for _, partner := range []string{codec.Name(), "Roaring", "SIMDBP128*", "WAH"} {
+			for _, c := range []struct {
+				first []uint32
+				rest  [][]uint32
+			}{{short, long}, {odd, even}} {
+				for n := 2; n <= 3; n++ {
+					lists := append([][]uint32{c.first}, c.rest[:n-1]...)
+					ps := []core.Posting{compress(codec.Name(), lists[0])}
+					for _, l := range lists[1:] {
+						ps = append(ps, compress(partner, l))
+					}
+					order := slices.Clone(ps)
+					want := refIntersectMany(lists)
+					name := codec.Name() + "×" + partner
+					got, err := Intersect(ps)
+					switch {
+					case err != nil:
+						t.Fatalf("%s, %d operands: %v", name, n, err)
+					case got == nil:
+						t.Fatalf("%s, %d operands: nil answer", name, n)
+					case !slices.Equal(got, want):
+						t.Fatalf("%s, %d operands: got %d values, want %d", name, n, len(got), len(want))
+					case !slices.Equal(ps, order):
+						t.Fatalf("%s, %d operands: Intersect reordered the caller's operands", name, n)
+					}
+					for i := range got {
+						got[i] = ^got[i]
+					}
+					for i, p := range ps {
+						if !slices.Equal(p.Decompress(), lists[i]) {
+							t.Fatalf("%s, %d operands: writing into the answer changed operand %d", name, n, i)
+						}
+					}
+					if again, err := Intersect(ps); err != nil || !slices.Equal(again, want) {
+						t.Fatalf("%s, %d operands: writing into the answer changed a later one (%v)", name, n, err)
+					}
+					for i, v := range want {
+						if got[i] != ^v {
+							t.Fatalf("%s, %d operands: a later answer overwrote an earlier one", name, n)
+						}
+					}
+				}
+			}
+		}
+	}
 }

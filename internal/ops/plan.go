@@ -71,16 +71,13 @@ func Eval(e Expr, postings []core.Posting) ([]uint32, error) {
 			cur = IntersectSorted(cur, l)
 		}
 		sortPostingsByLen(leafPs)
-		// cur is this call's own heap slice, never an arena buffer, so
-		// probeAnd may filter it in place or recycle it into the arena,
-		// and what it returns never aliases pooled scratch.
-		a := getArena()
-		defer putArena(a)
+		// cur is this call's own slice, so probeAnd may filter it in
+		// place.
 		for _, p := range leafPs {
 			if len(cur) == 0 {
 				break
 			}
-			cur = probeAnd(a, cur, p)
+			cur = probeAnd(cur, p)
 		}
 		return cur, nil
 	default: // OpOr

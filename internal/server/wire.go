@@ -978,7 +978,7 @@ func ParsePosting(body []byte, maxDocs int) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.DecompressAppend(p, make([]uint32, 0, p.Len())), nil
+	return p.Decompress(), nil
 }
 
 // ParsePostingWords is ParsePosting for a caller that takes a dense
@@ -998,7 +998,7 @@ func ParsePostingWords(body []byte, maxDocs int) ([]uint32, *ops.Words, error) {
 			return nil, w, nil
 		}
 	}
-	return core.DecompressAppend(p, make([]uint32, 0, p.Len())), nil, nil
+	return p.Decompress(), nil, nil
 }
 
 // decodePosting checks a posting body's header against maxDocs, then
