@@ -83,19 +83,24 @@ func TestDecodeRefusesTrailingBytes(t *testing.T) {
 }
 
 // FuzzDecode is the native fuzz target: arbitrary bytes through the
-// dispatching decoder. Seeds cover every codec's valid encoding.
+// dispatching decoder. Seeds cover every codec's valid encoding of a
+// 64-value list (for the SIMD codecs, one VB-coded short block) and of
+// a 200-value one (a full block and a tail). The corpus under
+// testdata/fuzz/FuzzDecode adds SIMD blobs whose short last block is
+// packed, written before VB tails.
 func FuzzDecode(f *testing.F) {
-	vals := gen.Uniform(64, 1<<14, 2)
-	for _, c := range append(All(), Extensions()...) {
-		p, err := c.Compress(vals)
-		if err != nil {
-			f.Fatal(err)
+	for _, vals := range [][]uint32{gen.Uniform(64, 1<<14, 2), gen.Uniform(200, 1<<14, 2)} {
+		for _, c := range append(All(), Extensions()...) {
+			p, err := c.Compress(vals)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blob, err := p.(encoding.BinaryMarshaler).MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
 		}
-		blob, err := p.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(blob)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00})

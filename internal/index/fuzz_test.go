@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"repro/internal/codecs"
@@ -92,6 +93,13 @@ func FuzzBVIX3Read(f *testing.F) {
 	bent[24+3*20+8] ^= 0x0F // bend the impacts section length
 	fuzzReseal4Header(bent)
 	f.Add(bent)
+	// A bvix3+impacts file whose SIMD lists pack their short last block,
+	// written before VB tails (testdata/pretail/README.md).
+	preTail, err := os.ReadFile(preTailIndexFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(preTail)
 	f.Add([]byte{})
 	f.Add([]byte("BVIX3"))
 	f.Add(append([]byte("BVIX3\x01\x00\x00"), make([]byte, bvix3DataStart)...))

@@ -7,7 +7,10 @@
 // (§5): lists are cut into blocks of 128 elements; each block gets a
 // skip pointer holding a 32-bit offset and the block's 32-bit first
 // value, enabling SvS intersection to decompress only the blocks that
-// may contain a probe (§B, Appendix B).
+// may contain a probe (§B, Appendix B). The SIMD codecs pack a block at
+// the full 128-value width whatever it holds, so the frame VB-codes a
+// short last block of theirs when that is smaller, as SIMD-BP128 codes
+// the integers after its last full block.
 package intlist
 
 import (
@@ -77,7 +80,8 @@ type GapLimited interface {
 }
 
 // Compress cuts values into blocks, encodes each with the inner codec,
-// and attaches skip pointers.
+// and attaches skip pointers. A short last block of a codec that pads
+// (padsPartialBlock) is VB-coded instead when that is smaller.
 func (b Blocked) Compress(values []uint32) (core.Posting, error) {
 	if err := core.ValidateSorted(values); err != nil {
 		return nil, err
@@ -110,7 +114,38 @@ func (b Blocked) Compress(values []uint32) (core.Posting, error) {
 		p.skips = append(p.skips, skipEntry{offset: uint32(len(p.data)), first: block[0]})
 		p.data = b.BC.EncodeBlock(p.data, block)
 	}
+	if r := len(values) % bs; r != 0 && padsPartialBlock(b.BC) {
+		off := p.skips[len(p.skips)-1].offset
+		tail := values[len(values)-r:]
+		if vbSize(tail) < len(p.data)-int(off) {
+			p.data = vbBlock{}.EncodeBlock(p.data[:off], tail)
+			p.vbTail = true
+		}
+	}
 	return p, nil
+}
+
+// padsPartialBlock reports whether bc packs a block of fewer than
+// BlockSize values at the full 128-value width, 16 bytes a bit, so that
+// VB may code a short last block in less.
+func padsPartialBlock(bc BlockCodec) bool {
+	switch bc.(type) {
+	case simdBP128Block, simdBP128StarBlock, simdPFDBlock, simdPFDStarBlock:
+		return true
+	}
+	return false
+}
+
+// vbSize is the length of vbBlock's encoding of block.
+func vbSize(block []uint32) int {
+	n := 0
+	for i := 1; i < len(block); i++ {
+		n++
+		for g := block[i] - block[i-1]; g >= 1<<7; g >>= 7 {
+			n++
+		}
+	}
+	return n
 }
 
 type skipEntry struct {
@@ -125,6 +160,7 @@ type listPosting struct {
 	n       int
 	bs      int // elements per block
 	noSkips bool
+	vbTail  bool // the last block is VB-coded, whatever bc is
 }
 
 func (p *listPosting) Len() int { return p.n }
@@ -153,7 +189,12 @@ func (p *listPosting) decodeBlock(b int, buf []uint32) []uint32 {
 	n := p.blockLen(b)
 	out := buf[:n]
 	out[0] = p.skips[b].first
-	p.bc.DecodeBlock(p.data[p.skips[b].offset:], out)
+	src := p.data[p.skips[b].offset:]
+	if p.vbTail && b == len(p.skips)-1 {
+		vbBlock{}.DecodeBlock(src, out)
+	} else {
+		p.bc.DecodeBlock(src, out)
+	}
 	return out
 }
 

@@ -12,8 +12,13 @@ import (
 //
 //	RawList  u32 values
 //	Blocked  inner codec name (u8 length + bytes), flags u8 (bit 0 =
-//	         no-skips), block size u8, skip count u32, skips (offset u32
-//	         + first u32), payload length u32 + bytes
+//	         no-skips, bit 1 = the last block is VB-coded; bits 2-7 are
+//	         zero), block size u8, skip count u32, skips (offset u32 +
+//	         first u32), payload length u32 + bytes. Bit 1 is set only
+//	         for the four SIMD codecs, and only when the last block is
+//	         short and VB codes it in fewer bytes than the packed block.
+//	         The VB block is last, so no other block's offset moves;
+//	         blobs written before bit 1 existed decode unchanged.
 //	PEF      partition count u32, partitions (base u32, l u8, count u16,
 //	         lowOff u64, highOff u64, highEnd u64), low/high bit arrays
 //	         (bit length u64 + u64 words each)
@@ -80,6 +85,9 @@ func (p *listPosting) MarshalBinary() ([]byte, error) {
 	if p.noSkips {
 		flags |= 1
 	}
+	if p.vbTail {
+		flags |= 2
+	}
 	dst = append(dst, flags, byte(p.bs))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.skips)))
 	for _, s := range p.skips {
@@ -112,6 +120,9 @@ func (Blocked) Decode(data []byte) (core.Posting, error) {
 	}
 	rest = rest[nameLen:]
 	flags := rest[0]
+	if flags&^3 != 0 {
+		return nil, fmt.Errorf("%w: Blocked flags 0x%02x", core.ErrBadFormat, flags)
+	}
 	bs := int(rest[1])
 	if bs < 2 || bs > BlockSize {
 		return nil, fmt.Errorf("%w: block size %d", core.ErrBadFormat, bs)
@@ -121,7 +132,7 @@ func (Blocked) Decode(data []byte) (core.Posting, error) {
 	if len(rest) < 8*skipCount+4 {
 		return nil, fmt.Errorf("%w: truncated skip array", core.ErrBadFormat)
 	}
-	p := &listPosting{bc: bc, n: n, noSkips: flags&1 != 0, bs: bs}
+	p := &listPosting{bc: bc, n: n, noSkips: flags&1 != 0, vbTail: flags&2 != 0, bs: bs}
 	p.skips = make([]skipEntry, skipCount)
 	for i := range p.skips {
 		p.skips[i].offset = binary.LittleEndian.Uint32(rest[8*i:])
@@ -161,6 +172,30 @@ func (p *listPosting) validate() error {
 		if i > 0 && (s.offset < p.skips[i-1].offset || s.first <= p.skips[i-1].first) {
 			return fmt.Errorf("%w: skip %d not monotonic", core.ErrBadFormat, i)
 		}
+	}
+	if p.vbTail {
+		return p.validateVBTail()
+	}
+	return nil
+}
+
+// validateVBTail checks a VB-coded last block: only a padding codec's
+// short last block is ever VB-coded, and its bytes must be exactly one
+// VB value per value after the first, the last one ending the payload.
+func (p *listPosting) validateVBTail() error {
+	r := p.n % p.bs
+	if r == 0 || !padsPartialBlock(p.bc) {
+		return fmt.Errorf("%w: VB tail flag on a %s list of %d values", core.ErrBadFormat, p.bc.Name(), p.n)
+	}
+	tail := p.data[p.skips[len(p.skips)-1].offset:]
+	ends := 0
+	for _, c := range tail {
+		if c&0x80 == 0 {
+			ends++
+		}
+	}
+	if ends != r-1 || (len(tail) > 0 && tail[len(tail)-1]&0x80 != 0) {
+		return fmt.Errorf("%w: VB tail of %d bytes for %d values", core.ErrBadFormat, len(tail), r)
 	}
 	return nil
 }

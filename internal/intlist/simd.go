@@ -17,7 +17,8 @@ import (
 // scalar code; see DESIGN.md §2 for the substitution rationale.
 //
 // The four SIMD-layout codecs all use this packing inside the standard
-// block frame:
+// block frame, which VB-codes a short last block instead when that is
+// smaller (Blocked.Compress):
 //
 //   - SIMDBP128: per-block bit width over d-gaps, pure packing.
 //   - SIMDBP128*: not d-gap based (§3 overview) — packs offsets from the
@@ -189,9 +190,10 @@ func (simdPFDStarBlock) DecodeBlock(src []byte, out []uint32) int {
 // vdecodeDelta fills out[1:] with the b-bit d-gaps packed in src,
 // prefix-summed onto out[0] in the fused kernel's one pass, and returns
 // bytes used (16*b). A full block decodes straight into out. A partial
-// one decodes all 127 slots into scratch and keeps what out holds:
-// every block is packed at the full 16*b bytes, so the read stays in
-// bounds.
+// one decodes all 127 slots into scratch and keeps what out holds: a
+// packed block is always the full 16*b bytes, so the read stays in
+// bounds (a short last block that VB codes smaller is VB-coded by the
+// frame and never reaches here).
 func vdecodeDelta(src []byte, out []uint32, b uint) int {
 	if len(out) == BlockSize {
 		return kernels.VUnpackDelta(src, (*[BlockSize - 1]uint32)(out[1:]), out[0], b)

@@ -34,6 +34,7 @@ func (b Blocked) CompressStored(values []uint32, store func(payload []byte) Fetc
 		n:       lp.n,
 		bs:      lp.bs,
 		noSkips: lp.noSkips,
+		vbTail:  lp.vbTail,
 		dataLen: len(lp.data),
 		fetcher: store(lp.data),
 	}
@@ -49,6 +50,7 @@ type storedPosting struct {
 	n       int
 	bs      int
 	noSkips bool
+	vbTail  bool
 }
 
 func (p *storedPosting) Len() int { return p.n }
@@ -90,7 +92,12 @@ func (p *storedPosting) decodeBlock(b int, buf []uint32) []uint32 {
 	out := buf[:n]
 	out[0] = p.skips[b].first
 	off, length := p.blockExtent(b)
-	p.bc.DecodeBlock(p.fetcher.Fetch(off, length), out)
+	src := p.fetcher.Fetch(off, length)
+	if p.vbTail && b == len(p.skips)-1 {
+		vbBlock{}.DecodeBlock(src, out)
+	} else {
+		p.bc.DecodeBlock(src, out)
+	}
 	return out
 }
 
