@@ -347,9 +347,9 @@ func (g *bvix3Geometry) materializeImpacts(rec dictRecord, ordinal int) (*impact
 }
 
 // termImpactList adapts one term's entry to ops.ImpactList. With a
-// block-decoding posting (bd non-nil) cursors decode lazily, one
-// surviving 128-posting block at a time; otherwise vals holds the
-// fully decoded docids and cursors walk the array.
+// block-decoding posting (bd non-nil) the ranking cursor decodes
+// lazily, one surviving 128-posting block at a time; otherwise vals
+// holds the fully decoded docids and Block slices them.
 type termImpactList struct {
 	meta *impactMeta
 	bd   core.BlockDecoder
@@ -364,7 +364,7 @@ func (l *termImpactList) Blocks() ([]uint32, []uint8) {
 
 // Block returns block b's docids — decoded into buf through the block
 // decoder, or sliced from vals — and its slice of the stored impacts.
-// It is the one place a block is decoded for ranking: the lazy cursor
+// It is the one place a block is decoded for ranking: the ops cursor
 // loads through it, and so does the dense scorer.
 func (l *termImpactList) Block(b int, buf []uint32) ([]uint32, []uint8) {
 	n := l.meta.blockLen
@@ -378,118 +378,8 @@ func (l *termImpactList) Block(b int, buf []uint32) ([]uint32, []uint8) {
 	return l.bd.DecodeBlock(b, buf), imps
 }
 
-func (l *termImpactList) Cursor() ops.ImpactCursor {
-	if l.bd != nil {
-		return &blockImpactCursor{l: l, block: -1}
-	}
-	return &arrayImpactCursor{l: l, pos: -1}
-}
-
-// arrayImpactCursor walks pre-decoded docids. The decode already
-// happened (and covered every block), so BlocksDecoded reports them
-// all — honest accounting for the pruning gate.
-type arrayImpactCursor struct {
-	l   *termImpactList
-	pos int
-}
-
-func (c *arrayImpactCursor) Next() (uint32, bool) {
-	c.pos++
-	if c.pos >= len(c.l.vals) {
-		return 0, false
-	}
-	return c.l.vals[c.pos], true
-}
-
-func (c *arrayImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
-	vals := c.l.vals
-	// Galloping from the current position: a seek costs the log of the
-	// distance it moves, not of what is left of the list.
-	c.pos = ops.GallopGEQ(vals, max(c.pos, 0), target)
-	if c.pos >= len(vals) {
-		return 0, false
-	}
-	return vals[c.pos], true
-}
-
-func (c *arrayImpactCursor) Impact() uint32     { return uint32(c.l.meta.quant[c.pos]) }
-func (c *arrayImpactCursor) BlocksDecoded() int { return len(c.l.meta.blockLast) }
-
-// blockImpactCursor decodes one physical block at a time through
-// termImpactList.Block, skipping straight to the target's block on
-// seeks: blocks the pruning never lands on are never decompressed.
-type blockImpactCursor struct {
-	l       *termImpactList
-	buf     [impactBlockLen]uint32
-	cur     []uint32
-	imps    []uint8 // the impacts of cur
-	block   int     // decoded block index; -1 before start, the block count when exhausted
-	pos     int
-	decoded int
-}
-
-func (c *blockImpactCursor) load(b int) {
-	c.cur, c.imps = c.l.Block(b, c.buf[:])
-	c.block = b
-	c.decoded++
-}
-
-func (c *blockImpactCursor) Next() (uint32, bool) {
-	if c.block >= 0 && c.pos+1 < len(c.cur) {
-		c.pos++
-		return c.cur[c.pos], true
-	}
-	nb := c.block + 1
-	if n := len(c.l.meta.blockLast); nb >= n {
-		c.block, c.cur = n, nil
-		return 0, false
-	}
-	c.load(nb)
-	c.pos = 0
-	return c.cur[0], true
-}
-
-func (c *blockImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
-	last := c.l.meta.blockLast
-	n := len(last)
-	if c.block >= 0 && c.cur != nil && c.pos < len(c.cur) && c.cur[c.pos] >= target {
-		return c.cur[c.pos], true
-	}
-	start := max(c.block, 0)
-	if start >= n {
-		return 0, false
-	}
-	b := ops.GallopGEQ(last, start, target)
-	if b >= n {
-		c.block, c.cur = n, nil
-		return 0, false
-	}
-	lo := 0
-	if b == c.block {
-		lo = c.pos
-	} else {
-		c.load(b)
-	}
-	i := ops.GallopGEQ(c.cur, lo, target)
-	if i >= len(c.cur) {
-		// Defensive: only reachable if the block-last metadata disagrees
-		// with the decoded values; the next block's first value is then
-		// the answer if any is.
-		if b+1 >= n {
-			c.block, c.cur = n, nil
-			return 0, false
-		}
-		c.load(b + 1)
-		c.pos = 0
-		return c.cur[0], true
-	}
-	c.pos = i
-	return c.cur[i], true
-}
-
-func (c *blockImpactCursor) Impact() uint32 { return uint32(c.imps[c.pos]) }
-
-func (c *blockImpactCursor) BlocksDecoded() int { return c.decoded }
+// Decoded reports whether vals holds the list decoded whole.
+func (l *termImpactList) Decoded() bool { return l.bd == nil }
 
 // topkLists assembles the per-term impact lists for a ranked query.
 // Terms carrying stored impact annotations over a block-frame posting

@@ -365,88 +365,6 @@ func TestTopKBlockMaxSkipsBlocks(t *testing.T) {
 		ex.BlocksDecoded, ex.BlocksTotal, bmw.BlocksDecoded, bmw.BlocksTotal)
 }
 
-// TestImpactCursorSeekGEQ checks both cursors' galloping SeekGEQ, mixed
-// with Next, against a sort.Search reference over random target
-// sequences that include a seek before the first Next, repeated
-// targets, targets at or below the current doc, and targets past the
-// end, on lists of one to ~150 blocks.
-func TestImpactCursorSeekGEQ(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(20000)
-		domain := n + rng.Intn(4*n)
-		var docs []uint32
-		var freqs []uint16
-		for d := 0; d < domain && len(docs) < n; d++ {
-			if rng.Intn(domain) < n {
-				docs, freqs = append(docs, uint32(d)), append(freqs, uint16(rng.Intn(20)))
-			}
-		}
-		if len(docs) == 0 {
-			docs, freqs = []uint32{uint32(domain)}, []uint16{1}
-		}
-		p, err := mustCodec(t, "VB").Compress(docs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, ok := p.(core.BlockDecoder)
-		if !ok || bd.BlockSpan() != impactBlockLen {
-			t.Fatalf("VB posting is not a %d-wide block decoder", impactBlockLen)
-		}
-		meta := buildImpactMeta(docs, freqs)
-		last := docs[len(docs)-1]
-		for _, l := range []*termImpactList{{meta: meta, bd: bd}, {meta: meta, vals: docs}} {
-			kind := "block"
-			if l.bd == nil {
-				kind = "array"
-			}
-			for walk := 0; walk < 8; walk++ {
-				c := l.Cursor()
-				pos := -1 // the reference cursor
-				var target uint32
-				for op := 0; op < 120; op++ {
-					var got, want uint32
-					var gotOK, wantOK bool
-					// Even walks seek before their first Next.
-					if (op > 0 || walk%2 == 1) && rng.Intn(5) == 0 {
-						got, gotOK = c.Next()
-						pos++
-					} else {
-						cur := docs[min(max(pos, 0), len(docs)-1)]
-						switch r := rng.Intn(12); {
-						case r == 0: // repeat the previous target
-						case r <= 2: // at or below the current doc
-							target = cur - min(cur, uint32(rng.Intn(50)))
-						case r == 3: // past the end
-							target = last + 1 + uint32(rng.Intn(10))
-						case r <= 8: // a short hop
-							target = cur + uint32(rng.Intn(300))
-						default: // a long hop
-							target = cur + uint32(rng.Intn(domain/8+1))
-						}
-						got, gotOK = c.SeekGEQ(target)
-						if pos < len(docs) && (pos < 0 || docs[pos] < target) {
-							lo := max(pos, 0)
-							pos = lo + sort.Search(len(docs)-lo, func(i int) bool { return docs[lo+i] >= target })
-						}
-					}
-					if pos < len(docs) {
-						want, wantOK = docs[pos], true
-					}
-					if got != want || gotOK != wantOK {
-						t.Fatalf("trial %d %s walk %d op %d (target %d): got (%d, %v), want (%d, %v)",
-							trial, kind, walk, op, target, got, gotOK, want, wantOK)
-					}
-					if wantOK && c.Impact() != uint32(meta.quant[pos]) {
-						t.Fatalf("trial %d %s walk %d op %d: impact %d, want %d",
-							trial, kind, walk, op, c.Impact(), meta.quant[pos])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBVIX3ImpactsDegraded: a v4 file whose impacts section fails its
 // checksum still serves every posting; only the terms whose impact
 // records no longer pass their per-record CRC lose annotations, and

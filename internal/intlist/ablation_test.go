@@ -7,7 +7,8 @@ import (
 )
 
 // TestBlockSizeVariants: every supported block size round-trips and
-// seeks correctly; out-of-range sizes are rejected.
+// seeks correctly, and checks a gap-limited codec's gaps against its
+// own blocks; out-of-range sizes are rejected.
 func TestBlockSizeVariants(t *testing.T) {
 	vals := growingGaps(1000)
 	for _, size := range []int{2, 3, 16, 32, 64, 127, 128} {
@@ -22,6 +23,22 @@ func TestBlockSizeVariants(t *testing.T) {
 		it := p.(core.Seeker).Iterator()
 		if v, ok := it.SeekGEQ(vals[500]); !ok || v != vals[500] {
 			t.Errorf("size %d: SeekGEQ failed: %d %v", size, v, ok)
+		}
+		// A gap past Simple9's limit is fine as a block's first value,
+		// which its skip pointer carries, and refused inside a block.
+		wide := make([]uint32, size+1)
+		for i := range wide {
+			wide[i] = uint32(i)
+		}
+		wide[size] = 1 << 30
+		s9 := Blocked{BC: NewSimple9().(Blocked).BC, Size: size}
+		if p, err := s9.Compress(wide); err != nil {
+			t.Errorf("size %d: wide gap at a block start: %v", size, err)
+		} else if !equalU32(p.Decompress(), wide) {
+			t.Errorf("size %d: wide gap at a block start: round trip failed", size)
+		}
+		if _, err := s9.Compress(append(wide[:size-1:size-1], 1<<30)); err == nil {
+			t.Errorf("size %d: wide gap inside a block: expected rejection", size)
 		}
 	}
 	for _, size := range []int{1, -4, 129, 1000} {

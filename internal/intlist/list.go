@@ -96,9 +96,9 @@ func (b Blocked) Compress(values []uint32) (core.Posting, error) {
 	if gl, ok := b.BC.(GapLimited); ok {
 		limit := gl.MaxGap()
 		for i := 1; i < len(values); i++ {
-			// First values of blocks travel in skip pointers, but
-			// checking every gap keeps the rule simple and safe.
-			if i%BlockSize != 0 && values[i]-values[i-1] > limit {
+			// A block's first value travels in its skip pointer, so
+			// only the gaps inside a block are coded.
+			if i%bs != 0 && values[i]-values[i-1] > limit {
 				return nil, fmt.Errorf("intlist: %s cannot encode gap %d (limit %d)",
 					b.BC.Name(), values[i]-values[i-1], limit)
 			}
@@ -155,7 +155,9 @@ type skipEntry struct {
 
 type listPosting struct {
 	bc      BlockCodec
-	data    []byte
+	data    []byte  // the payload; nil in a stored posting
+	fetcher Fetcher // serves a stored posting's payload
+	stored  int     // a stored posting's payload length
 	skips   []skipEntry
 	n       int
 	bs      int // elements per block
@@ -165,13 +167,17 @@ type listPosting struct {
 
 func (p *listPosting) Len() int { return p.n }
 
-// SizeBytes counts the payload plus 8 bytes per skip pointer (32-bit
-// offset + 32-bit start value, §5).
+// SizeBytes counts the payload, held or stored, plus 8 bytes per skip
+// pointer (32-bit offset + 32-bit start value, §5).
 func (p *listPosting) SizeBytes() int {
-	if p.noSkips {
-		return len(p.data)
+	n := len(p.data)
+	if p.fetcher != nil {
+		n = p.stored
 	}
-	return len(p.data) + 8*len(p.skips)
+	if p.noSkips {
+		return n
+	}
+	return n + 8*len(p.skips)
 }
 
 // blockLen reports the number of values in block b.
@@ -189,7 +195,12 @@ func (p *listPosting) decodeBlock(b int, buf []uint32) []uint32 {
 	n := p.blockLen(b)
 	out := buf[:n]
 	out[0] = p.skips[b].first
-	src := p.data[p.skips[b].offset:]
+	var src []byte
+	if p.fetcher == nil {
+		src = p.data[p.skips[b].offset:]
+	} else {
+		src = p.fetchBlock(b)
+	}
 	if p.vbTail && b == len(p.skips)-1 {
 		vbBlock{}.DecodeBlock(src, out)
 	} else {
@@ -198,18 +209,15 @@ func (p *listPosting) decodeBlock(b int, buf []uint32) []uint32 {
 	return out
 }
 
-// blockSource abstracts the block-frame storage so the same iterator
-// serves in-memory postings and externally stored ones (internal/iosim).
-type blockSource interface {
-	numBlocks() int
-	blockFirst(b int) uint32
-	decodeBlock(b int, buf []uint32) []uint32
-	noSkipMode() bool
+// fetchBlock fetches exactly block b's extent of a stored posting's
+// payload, so every byte an operation reads is counted.
+func (p *listPosting) fetchBlock(b int) []byte {
+	off, end := int(p.skips[b].offset), p.stored
+	if b+1 < len(p.skips) {
+		end = int(p.skips[b+1].offset)
+	}
+	return p.fetcher.Fetch(off, end-off)
 }
-
-func (p *listPosting) numBlocks() int          { return len(p.skips) }
-func (p *listPosting) blockFirst(b int) uint32 { return p.skips[b].first }
-func (p *listPosting) noSkipMode() bool        { return p.noSkips }
 
 // BlockSpan implements core.BlockDecoder (values per full block).
 func (p *listPosting) BlockSpan() int { return p.bs }
@@ -248,7 +256,7 @@ func (p *listPosting) Iterator() core.Iterator {
 }
 
 type listIterator struct {
-	p     blockSource
+	p     *listPosting
 	buf   [BlockSize]uint32
 	cur   []uint32
 	block int // decoded block index, -1 before start
@@ -269,7 +277,7 @@ func (it *listIterator) Next() (uint32, bool) {
 			return v, true
 		}
 		nb := it.block + 1
-		if nb >= it.p.numBlocks() {
+		if nb >= len(it.p.skips) {
 			return 0, false
 		}
 		it.loadBlock(nb)
@@ -282,7 +290,7 @@ func (it *listIterator) Next() (uint32, bool) {
 // is reached (Figure 7's "no skip pointers" configuration).
 func (it *listIterator) SeekGEQ(target uint32) (uint32, bool) {
 	p := it.p
-	nb := p.numBlocks()
+	nb := len(p.skips)
 	if nb == 0 {
 		return 0, false
 	}
@@ -291,7 +299,7 @@ func (it *listIterator) SeekGEQ(target uint32) (uint32, bool) {
 	if it.block >= 0 && it.pos > 0 && it.cur[it.pos-1] >= target {
 		return it.cur[it.pos-1], true
 	}
-	if p.noSkipMode() {
+	if p.noSkips {
 		if it.block < 0 {
 			it.loadBlock(0)
 		}
@@ -313,17 +321,17 @@ func (it *listIterator) SeekGEQ(target uint32) (uint32, bool) {
 		// sequential locality — while a distant jump still degrades
 		// gracefully to the full binary search.
 		f := start // first block in [start, nb) whose first value > target
-		if p.blockFirst(start) <= target {
+		if p.skips[start].first <= target {
 			bound := 1
-			for start+bound < nb && p.blockFirst(start+bound) <= target {
+			for start+bound < nb && p.skips[start+bound].first <= target {
 				bound <<= 1
 			}
-			// blockFirst(start+bound/2) <= target; the answer lies in
+			// skips[start+bound/2].first <= target; the answer lies in
 			// (start+bound/2, start+bound].
 			i, j := start+bound/2+1, min(start+bound+1, nb)
 			for i < j {
 				m := int(uint(i+j) >> 1)
-				if p.blockFirst(m) <= target {
+				if p.skips[m].first <= target {
 					i = m + 1
 				} else {
 					j = m

@@ -22,7 +22,7 @@ const gallopRatio = 32
 // searching the bracketed window. Resuming from the previous match's
 // position makes a full intersection adaptive: sequential locality
 // costs O(1) per step, wide jumps cost the log of the jump only. The
-// top-k impact cursors seek with it for the same reason.
+// top-k impact cursor seeks with it for the same reason.
 func GallopGEQ(a []uint32, lo int, target uint32) int {
 	n := len(a)
 	if lo >= n || a[lo] >= target {

@@ -21,6 +21,8 @@ package ops
 import (
 	"math"
 	"sort"
+
+	"repro/internal/kernels"
 )
 
 // TopKMode selects the ranked-retrieval algorithm.
@@ -74,25 +76,99 @@ type ImpactList interface {
 	// sliced from memory the list already holds. The caller reads them
 	// before its next call with the same buf and never writes them.
 	Block(b int, buf []uint32) (docs []uint32, imps []uint8)
-	// Cursor returns a fresh forward cursor positioned before the first
-	// posting.
-	Cursor() ImpactCursor
+	// Decoded reports whether the list was decoded whole before ranking,
+	// so that Block only slices memory: its blocks then all count as
+	// decoded in TopKStats, whichever of them the scorer reads.
+	Decoded() bool
 }
 
-// ImpactCursor walks an ImpactList in increasing docid order. Cursors
-// move only forward; Impact is valid after a successful Next or
-// SeekGEQ and reports the impact of the docid just returned.
-type ImpactCursor interface {
-	// Next advances to the next document.
-	Next() (doc uint32, ok bool)
-	// SeekGEQ advances to the first document >= target (never moving
-	// backward). Lazy cursors decode only the landed-on block.
-	SeekGEQ(target uint32) (doc uint32, ok bool)
-	// Impact reports the quantized impact of the current document.
-	Impact() uint32
-	// BlocksDecoded reports how many physical blocks this cursor has
-	// materialized so far — the skipping currency the bench gate audits.
-	BlocksDecoded() int
+// impactCursor walks an ImpactList in increasing docid order, one
+// block at a time through Block. It moves only forward: a seek gallops
+// over the block last docids from the current block, loads the one
+// block it lands in and gallops inside it, so blocks the pruning never
+// lands on are never decoded. impact is valid after a successful next
+// or seekGEQ and reports the impact of the docid just returned.
+type impactCursor struct {
+	l      ImpactList
+	last   []uint32 // the list's block last docids
+	buf    [kernels.BlockLen]uint32
+	cur    []uint32 // the loaded block's docids
+	imps   []uint8  // the impacts of cur
+	block  int      // the loaded block; -1 before the start, len(last) when exhausted
+	pos    int
+	loaded int
+}
+
+func (c *impactCursor) reset(l ImpactList) {
+	*c = impactCursor{l: l, block: -1}
+	c.last, _ = l.Blocks()
+}
+
+func (c *impactCursor) load(b int) {
+	c.cur, c.imps = c.l.Block(b, c.buf[:])
+	c.block, c.pos = b, 0
+	c.loaded++
+}
+
+func (c *impactCursor) exhaust() (uint32, bool) {
+	c.block, c.cur = len(c.last), nil
+	return 0, false
+}
+
+// next advances to the next document.
+func (c *impactCursor) next() (uint32, bool) {
+	if c.pos+1 < len(c.cur) {
+		c.pos++
+		return c.cur[c.pos], true
+	}
+	if c.block+1 >= len(c.last) {
+		return c.exhaust()
+	}
+	c.load(c.block + 1)
+	return c.cur[0], true
+}
+
+// seekGEQ advances to the first document >= target, staying put when
+// the current one already is.
+func (c *impactCursor) seekGEQ(target uint32) (uint32, bool) {
+	if c.pos < len(c.cur) && c.cur[c.pos] >= target {
+		return c.cur[c.pos], true
+	}
+	b := GallopGEQ(c.last, max(c.block, 0), target)
+	if b >= len(c.last) {
+		return c.exhaust()
+	}
+	lo := 0
+	if b == c.block {
+		lo = c.pos
+	} else {
+		c.load(b)
+	}
+	i := GallopGEQ(c.cur, lo, target)
+	if i >= len(c.cur) {
+		// Only a block frame that disagrees with its docids gets here;
+		// the next block's first docid is then the answer if any is.
+		if b+1 >= len(c.last) {
+			return c.exhaust()
+		}
+		c.load(b + 1)
+		return c.cur[0], true
+	}
+	c.pos = i
+	return c.cur[i], true
+}
+
+// impact reports the quantized impact of the current document.
+func (c *impactCursor) impact() uint32 { return uint32(c.imps[c.pos]) }
+
+// blocksDecoded reports how many blocks the cursor has decoded — every
+// block of a list decoded whole — the skipping currency the bench gate
+// audits.
+func (c *impactCursor) blocksDecoded() int {
+	if c.l.Decoded() {
+		return len(c.last)
+	}
+	return c.loaded
 }
 
 // ScoredDoc is one ranked result: the one ranked-document type of the
@@ -281,21 +357,21 @@ func topk(mode TopKMode, cut float64, k int, lists []ImpactList, stats *TopKStat
 			return h.sorted()
 		}
 	}
-	cursors := make([]ImpactCursor, len(live))
+	cursors := make([]impactCursor, len(live))
 	for i, il := range live {
-		cursors[i] = il.Cursor()
+		cursors[i].reset(il)
 	}
 	scored := 0
 	switch mode {
 	case TopKBlockMax:
-		scored = topkBMW(live, cursors, h)
+		scored = topkBMW(cursors, h)
 	default:
 		scored = topkExhaustive(cursors, h)
 	}
 	if stats != nil {
 		stats.DocsScored = scored
-		for _, c := range cursors {
-			stats.BlocksDecoded += c.BlocksDecoded()
+		for i := range cursors {
+			stats.BlocksDecoded += cursors[i].blocksDecoded()
 		}
 	}
 	return h.sorted()
@@ -303,14 +379,15 @@ func topk(mode TopKMode, cut float64, k int, lists []ImpactList, stats *TopKStat
 
 // topkExhaustive is the reference scorer: a DAAT multiway merge that
 // fully scores every document in the union.
-func topkExhaustive(cursors []ImpactCursor, h *topkHeap) int {
+func topkExhaustive(cursors []impactCursor, h *topkHeap) int {
 	type state struct {
-		c   ImpactCursor
+		c   *impactCursor
 		doc uint32
 	}
 	act := make([]state, 0, len(cursors))
-	for _, c := range cursors {
-		if d, ok := c.Next(); ok {
+	for i := range cursors {
+		c := &cursors[i]
+		if d, ok := c.next(); ok {
 			act = append(act, state{c, d})
 		}
 	}
@@ -328,8 +405,8 @@ func topkExhaustive(cursors []ImpactCursor, h *topkHeap) int {
 				i++
 				continue
 			}
-			score += act[i].c.Impact()
-			if nd, ok := act[i].c.Next(); ok {
+			score += act[i].c.impact()
+			if nd, ok := act[i].c.next(); ok {
 				act[i].doc = nd
 				i++
 			} else {
@@ -360,21 +437,21 @@ func topkExhaustive(cursors []ImpactCursor, h *topkHeap) int {
 // exceeds the old pivot. The loop panics if that ever fails, which only
 // a bug can cause. Over a query each block pointer crosses each block
 // at most once.
-func topkBMW(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
+func topkBMW(cursors []impactCursor, h *topkHeap) int {
 	type state struct {
-		c    ImpactCursor
+		c    *impactCursor
 		last []uint32 // block last docids
 		bmax []uint8  // block maxima
 		blk  int      // first block with last[blk] >= the latest pivot
 		max  int64
 		doc  uint32
 	}
-	st := make([]*state, 0, len(lists))
-	for i, il := range lists {
-		c := cursors[i]
-		if d, ok := c.Next(); ok {
-			last, bmax := il.Blocks()
-			st = append(st, &state{c: c, last: last, bmax: bmax, max: int64(il.TermMax()), doc: d})
+	st := make([]*state, 0, len(cursors))
+	for i := range cursors {
+		c := &cursors[i]
+		if d, ok := c.next(); ok {
+			last, bmax := c.l.Blocks()
+			st = append(st, &state{c: c, last: last, bmax: bmax, max: int64(c.l.TermMax()), doc: d})
 		}
 	}
 	scored := 0
@@ -450,7 +527,7 @@ func topkBMW(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 			// target.
 			target := uint32(next)
 			for i, s := range st[:p+1] {
-				if v, ok := s.c.SeekGEQ(target); ok {
+				if v, ok := s.c.seekGEQ(target); ok {
 					s.doc = v
 				} else {
 					st[i] = nil
@@ -464,7 +541,7 @@ func topkBMW(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 		for i := 0; i <= p; i++ {
 			s := st[i]
 			if s.doc < pivot {
-				if v, ok := s.c.SeekGEQ(pivot); ok {
+				if v, ok := s.c.seekGEQ(pivot); ok {
 					s.doc = v
 				} else {
 					st[i] = nil
@@ -472,7 +549,7 @@ func topkBMW(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 				}
 			}
 			if s.doc == pivot {
-				score += int64(s.c.Impact())
+				score += int64(s.c.impact())
 			}
 		}
 		st = compactStates(st)
@@ -484,7 +561,7 @@ func topkBMW(lists []ImpactList, cursors []ImpactCursor, h *topkHeap) int {
 			if s.doc != pivot {
 				continue
 			}
-			if v, ok := s.c.Next(); ok {
+			if v, ok := s.c.next(); ok {
 				s.doc = v
 			} else {
 				st[i] = nil

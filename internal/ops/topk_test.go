@@ -54,36 +54,8 @@ func (m *memImpactList) Block(b int, _ []uint32) ([]uint32, []uint8) {
 	return m.docs[lo:hi], m.imp8[lo:hi]
 }
 
-func (m *memImpactList) Cursor() ImpactCursor { return &memImpactCursor{l: m, pos: -1} }
-
-type memImpactCursor struct {
-	l   *memImpactList
-	pos int
-}
-
-func (c *memImpactCursor) Next() (uint32, bool) {
-	c.pos++
-	if c.pos >= len(c.l.docs) {
-		return 0, false
-	}
-	return c.l.docs[c.pos], true
-}
-
-func (c *memImpactCursor) SeekGEQ(target uint32) (uint32, bool) {
-	start := c.pos
-	if start < 0 {
-		start = 0
-	}
-	i := start + sort.Search(len(c.l.docs)-start, func(i int) bool { return c.l.docs[start+i] >= target })
-	c.pos = i
-	if i >= len(c.l.docs) {
-		return 0, false
-	}
-	return c.l.docs[i], true
-}
-
-func (c *memImpactCursor) Impact() uint32     { return c.l.imps[c.pos] }
-func (c *memImpactCursor) BlocksDecoded() int { return 0 }
+// Decoded is false: the fake's blocks count as the cursor loads them.
+func (m *memImpactList) Decoded() bool { return false }
 
 // bruteTopK recomputes the expected result with a full score map.
 func bruteTopK(k int, lists []*memImpactList) []ScoredDoc {
@@ -258,26 +230,24 @@ func TestTopKSkipToLastDocid(t *testing.T) {
 	}
 }
 
-// stuckList hands out cursors whose SeekGEQ never moves: a broken
-// cursor that stalls BMW's pivot.
+// stuckList is a broken list whose Block serves block 0 whatever
+// block is asked for: the cursor lands below its seek target, and a
+// seek stalls BMW's pivot.
 type stuckList struct{ *memImpactList }
 
-func (l stuckList) Cursor() ImpactCursor {
-	return stuckCursor{&memImpactCursor{l: l.memImpactList, pos: -1}}
+func (l stuckList) Block(_ int, buf []uint32) ([]uint32, []uint8) {
+	return l.memImpactList.Block(0, buf)
 }
-
-type stuckCursor struct{ *memImpactCursor }
-
-func (c stuckCursor) SeekGEQ(uint32) (uint32, bool) { return c.l.docs[c.pos], true }
 
 // TestTopKBlockMaxPivotMustAdvance: the forward-only block pointers are
 // right only while the pivot strictly increases, so topkBMW checks
-// that on every iteration. With cursors that ignore seeks, the second
-// pivot's blocks cannot win, the skip moves nothing and the same pivot
-// comes back: BMW must panic there rather than loop or answer.
+// that on every iteration. With a list whose blocks all read as its
+// first, the second pivot's blocks cannot win, the skip lands the
+// cursors below its target and the same pivot comes back: BMW must
+// panic there rather than loop or answer.
 func TestTopKBlockMaxPivotMustAdvance(t *testing.T) {
-	a := newMemImpactList([]uint32{1, 2, 3}, []uint32{5, 1, 1}, 1)
-	b := newMemImpactList([]uint32{2, 3}, []uint32{1, 1}, 1)
+	a := newMemImpactList([]uint32{1, 2, 3, 4, 5, 6}, []uint32{5, 1, 1, 1, 1, 1}, 1)
+	b := newMemImpactList([]uint32{2, 3, 4, 5, 6}, []uint32{1, 1, 1, 1, 1}, 1)
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()
@@ -293,14 +263,108 @@ func TestTopKBlockMaxPivotMustAdvance(t *testing.T) {
 	}
 }
 
+// copyingList is memImpactList with the other Block contract: it
+// copies a block's docids into buf rather than slicing its own.
+type copyingList struct{ *memImpactList }
+
+func (l copyingList) Block(b int, buf []uint32) ([]uint32, []uint8) {
+	docs, imps := l.memImpactList.Block(b, nil)
+	return buf[:copy(buf, docs)], imps
+}
+
+// TestImpactCursorSeekGEQ checks the cursor's galloping seekGEQ, mixed
+// with next, against a sort.Search reference over random target
+// sequences that include a seek before the first next, repeated
+// targets, targets at or below the current doc, and targets past the
+// end, on lists of one to ~150 blocks of 1 to 128 postings, through
+// both Block contracts. An exhausted cursor must stay exhausted.
+func TestImpactCursorSeekGEQ(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(20000)
+		domain := n + rng.Intn(4*n)
+		var docs, imps []uint32
+		for d := 0; d < domain && len(docs) < n; d++ {
+			if rng.Intn(domain) < n {
+				docs, imps = append(docs, uint32(d)), append(imps, 1+uint32(rng.Intn(20)))
+			}
+		}
+		if len(docs) == 0 {
+			docs, imps = []uint32{uint32(domain)}, []uint32{1}
+		}
+		mem := newMemImpactList(docs, imps, 1+rng.Intn(128))
+		last := docs[len(docs)-1]
+		for _, l := range []ImpactList{mem, copyingList{mem}} {
+			kind := fmt.Sprintf("%T/%d", l, mem.blockLen)
+			for walk := 0; walk < 8; walk++ {
+				var c impactCursor
+				c.reset(l)
+				pos := -1 // the reference cursor
+				var target uint32
+				for op := 0; op < 120; op++ {
+					var got, want uint32
+					var gotOK, wantOK bool
+					// Even walks seek before their first next.
+					if (op > 0 || walk%2 == 1) && rng.Intn(5) == 0 {
+						got, gotOK = c.next()
+						pos++
+					} else {
+						cur := docs[min(max(pos, 0), len(docs)-1)]
+						switch r := rng.Intn(12); {
+						case r == 0: // repeat the previous target
+						case r <= 2: // at or below the current doc
+							target = cur - min(cur, uint32(rng.Intn(50)))
+						case r == 3: // past the end
+							target = last + 1 + uint32(rng.Intn(10))
+						case r <= 8: // a short hop
+							target = cur + uint32(rng.Intn(300))
+						default: // a long hop
+							target = cur + uint32(rng.Intn(domain/8+1))
+						}
+						got, gotOK = c.seekGEQ(target)
+						if pos < len(docs) && (pos < 0 || docs[pos] < target) {
+							lo := max(pos, 0)
+							pos = lo + sort.Search(len(docs)-lo, func(i int) bool { return docs[lo+i] >= target })
+						}
+					}
+					if pos < len(docs) {
+						want, wantOK = docs[pos], true
+					}
+					if got != want || gotOK != wantOK {
+						t.Fatalf("trial %d %s walk %d op %d (target %d): got (%d, %v), want (%d, %v)",
+							trial, kind, walk, op, target, got, gotOK, want, wantOK)
+					}
+					if wantOK && c.impact() != imps[pos] {
+						t.Fatalf("trial %d %s walk %d op %d: impact %d, want %d",
+							trial, kind, walk, op, c.impact(), imps[pos])
+					}
+				}
+				// Run the cursor off the end: once exhausted, it stays so.
+				for {
+					if _, ok := c.next(); !ok {
+						break
+					}
+				}
+				for i := 0; i < 3; i++ {
+					if d, ok := c.next(); ok {
+						t.Fatalf("trial %d %s walk %d: next after the end gave %d", trial, kind, walk, d)
+					}
+					if d, ok := c.seekGEQ(uint32(i)); ok {
+						t.Fatalf("trial %d %s walk %d: seekGEQ(%d) after the end gave %d", trial, kind, walk, i, d)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkTopK times the two modes over 1, 2 and 3 C300-shaped lists
-// of 50k, 20k and 5k docs (k = 10). The lists are the test fake
-// memImpactList, whose cursor seeks with sort.Search, so this times the
-// scorers' own work, not index's block-decoding or galloping cursors,
-// and it does not represent served BMW. BenchmarkTopKDenseVsBMW
-// (internal/index) times BMW and the dense scorer over real BVIX3 v4
-// lists, and index.topk_us on the benchmark spine times the served
-// path. Run with -benchmem for allocs/op.
+// of 50k, 20k and 5k docs (k = 10). The lists are memImpactList, whose
+// Block slices memory, walked by the served cursor: this times the
+// scorers and the cursor's galloping, not block decoding.
+// BenchmarkTopKDenseVsBMW (internal/index) times BMW and the dense
+// scorer over real BVIX3 v4 lists, and index.topk_us on the benchmark
+// spine times the served path. Run with -benchmem for allocs/op.
 func BenchmarkTopK(b *testing.B) {
 	rng := rand.New(rand.NewSource(300))
 	var lists []ImpactList
