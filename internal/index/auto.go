@@ -49,7 +49,7 @@ func AutoSelector() CodecSelector {
 // term's posting list ("" for unknown terms, and for entries whose
 // provenance did not record one and whose blob names no codec).
 func (idx *Index) TermCodec(term string) string {
-	e, ok := idx.entry(term)
+	e, ok := idx.term(term)
 	if !ok {
 		return ""
 	}

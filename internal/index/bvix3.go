@@ -19,21 +19,24 @@ import (
 // BVIX3 is the serving-oriented on-disk index format: section-aligned,
 // length-prefixed, CRC-checked segments laid out so a file can be
 // opened zero-copy from an mmap and queried before any posting is
-// decoded. Version 3 files carry three sections (dict, frames,
-// payload); version 4 files append an optional fourth — the impacts
-// section — carrying quantized ranking impacts and per-block maxima
-// for Block-Max pruning. Impact-less writes stay byte-identical to
-// version 3, and readers accept both.
+// decoded. A file carries three sections (dict, frames, payload) or,
+// with ranking annotations, a fourth — the impacts section — carrying
+// quantized ranking impacts and per-block maxima for Block-Max
+// pruning. Versions 5 and 6, the two the writer emits, code each
+// term's frequencies as one Elias-γ list (freqlist.go) with its own
+// length and CRC in the dict; versions 3 and 4, which stored them raw,
+// stay readable.
 //
 // File layout (little-endian throughout; S = section count, 3 or 4):
 //
 //	[0,5)    magic "BVIX3"
-//	[5]      format version (3 = no impacts, 4 = impacts section)
+//	[5]      format version: 5 = no impacts, 6 = impacts section;
+//	         3 and 4 are the same pair with raw u16 frequencies
 //	[6,8)    zero padding
 //	[8,12)   document count u32
 //	[12,16)  term count u32
 //	[16,20)  skip-frame length u32 (terms per frame; writer uses 64)
-//	[20,24)  section count u32 (3 for v3, 4 for v4)
+//	[20,24)  section count u32 (3 for v3 and v5, 4 for v4 and v6)
 //	[24,24+20S)   section table: S × { off u64, len u64, crc32c u32 }
 //	              in file order dict, frames, payload[, impacts];
 //	              offsets absolute
@@ -44,31 +47,36 @@ import (
 //
 //	dict:    per term, sorted by name: nameLen u16, name bytes,
 //	         posting count u32, payload offset u64 (relative to the
-//	         payload section), posting blob length u32, payload record
-//	         CRC32-C u32 (over the blob plus frequency bytes), codec
-//	         byte u8 (v3; the registry ID of the posting's codec per
-//	         codecs.IDByName, 0 = unspecified — the adaptive builder's
-//	         per-term selection persisted without decoding a blob).
-//	         The per-record CRC is what makes degraded-mode salvage
-//	         sound: when the payload section's CRC fails, a term is
-//	         served only if its own record still checksums — corrupt
+//	         payload section), posting blob length u32, blob CRC32-C
+//	         u32, codec byte u8 (the registry ID of the posting's codec
+//	         per codecs.IDByName, 0 = unspecified — the adaptive
+//	         builder's per-term selection persisted without decoding a
+//	         blob), then frequency list length u32 and frequency list
+//	         CRC32-C u32. In v3 and v4 the record stops after the codec
+//	         byte, and its CRC covers the blob and the raw frequencies
+//	         together. The per-record CRCs are what make degraded-mode
+//	         salvage sound: when the payload section's CRC fails, a
+//	         term is served only if its blob still checksums — corrupt
 //	         bytes that would decode "cleanly" into plausible garbage
-//	         are quarantined instead of served. Codec bytes above
-//	         codecs.MaxID are rejected (core.ErrBadFormat in strict
-//	         opens, quarantine in degraded ones); a non-zero byte must
-//	         also match the blob it describes, checked at materialize
-//	         time.
+//	         are quarantined instead of served — and ranks by its
+//	         frequencies only if their list still checksums. Codec
+//	         bytes above codecs.MaxID are rejected (core.ErrBadFormat
+//	         in strict opens, quarantine in degraded ones); a non-zero
+//	         byte must also match the blob it describes, checked when
+//	         the blob is decoded.
 //	frames:  one u64 per skip frame — the dict-relative offset of the
 //	         frame's first record. Lookup binary-searches the frames on
 //	         their first term (read zero-copy out of the dict) and
 //	         scans at most frameLen records, so no per-term table is
 //	         ever materialized on the heap.
 //	payload: per term, in dict order and 8-byte aligned: the posting's
-//	         self-describing compressed blob, then the u16 frequency
-//	         payload (2 × count bytes). Records tile the section
-//	         exactly — open re-derives every record boundary and
-//	         rejects files whose dict disagrees with the payload.
-//	impacts: (v4 only) a per-term u64 offset table (term count × 8
+//	         self-describing compressed blob, then the term's
+//	         frequencies — the γ list, or 2 × count raw bytes in v3 and
+//	         v4. Records tile the section exactly — open re-derives
+//	         every record boundary from the dict alone, without
+//	         decoding a frequency, and rejects files whose dict
+//	         disagrees with the payload.
+//	impacts: (v4 and v6) a per-term u64 offset table (term count × 8
 //	         bytes, dict order, impacts-section-relative), then one
 //	         8-byte-aligned impact record per term tiling the rest of
 //	         the section. See impacts.go for the record layout, the
@@ -81,17 +89,21 @@ import (
 // padding by an explicit zeros check. A single flipped bit anywhere
 // surfaces as an error (core.ErrChecksum for CRC-covered ranges).
 const (
-	bvix3Version        = 3   // v2 added per-record payload CRCs; v3 the codec byte
-	bvix3VersionImpacts = 4   // v4 added the optional impacts section
-	bvix3HeaderSize     = 88  // v3 header: 24 + 3×20 + 4
-	bvix3DataStart      = 128 // first section offset: align64 of either header size
-	bvix3Align          = 64
-	bvix3RecAlign       = 8
-	bvix3FrameLen       = 64
-	// bvix3RecordFixed is a dict record's size net of the name bytes:
-	// name length u16, count u32, payload offset u64, blob length u32,
-	// payload record CRC u32, codec byte u8.
+	bvix3VersionRaw        = 3   // raw u16 frequencies (v2 added per-record payload CRCs; v3 the codec byte)
+	bvix3VersionRawImpacts = 4   // version 3 plus the impacts section
+	bvix3Version           = 5   // frequencies as one Elias-γ list per term
+	bvix3VersionImpacts    = 6   // version 5 plus the impacts section
+	bvix3HeaderSize        = 88  // three-section header: 24 + 3×20 + 4
+	bvix3DataStart         = 128 // first section offset: align64 of either header size
+	bvix3Align             = 64
+	bvix3RecAlign          = 8
+	bvix3FrameLen          = 64
+	// bvix3RecordFixed is a v3/v4 dict record's size net of the name
+	// bytes: name length u16, count u32, payload offset u64, blob length
+	// u32, payload record CRC u32, codec byte u8. From v5 a record adds
+	// bvix3FreqFields: the frequency list's length u32 and CRC u32.
 	bvix3RecordFixed = 2 + 4 + 8 + 4 + 4 + 1
+	bvix3FreqFields  = 4 + 4
 )
 
 // bvix3HeaderSizeFor is the byte size of the header (magic through
@@ -103,20 +115,22 @@ var bvix3Magic = []byte("BVIX3")
 func align(n, a uint64) uint64 { return (n + a - 1) &^ (a - 1) }
 
 // WriteTo implements io.WriterTo: it serializes the index in the BVIX3
-// format (version 3, no impacts section — byte-identical to what
-// previous builds wrote). Output depends only on index contents: a
-// parallel build writes byte-identical files to a serial one. Lazily
-// opened indexes are materialized in full (every posting decoded, then
-// re-marshaled), so WriteTo also rewrites a v4 or salvaged file as v3.
+// format, version 5 — no impacts section, frequencies as Elias-γ
+// lists. Output depends only on index contents: a parallel build writes
+// byte-identical files to a serial one. Lazily opened indexes are
+// materialized in full (every posting and frequency list decoded, then
+// re-encoded), so WriteTo also rewrites any readable version, salvaged
+// files included, as version 5.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return idx.writeBVIX3(w, false)
 }
 
-// WriteBVIX3Impacts serializes the index as BVIX3 version 4: the three
-// v3 sections plus the impacts section (quantized ranking impacts and
-// block-max metadata). Impacts are recomputed deterministically from
-// the stored frequencies, so converting any readable index — including
-// impact-less v3 files — produces a fully impact-annotated one.
+// WriteBVIX3Impacts serializes the index as BVIX3 version 6: the three
+// version 5 sections plus the impacts section (quantized ranking
+// impacts and block-max metadata). Impacts are recomputed
+// deterministically from the stored frequencies, so converting any
+// readable index — including impact-less files — produces a fully
+// impact-annotated one.
 func (idx *Index) WriteBVIX3Impacts(w io.Writer) (int64, error) {
 	return idx.writeBVIX3(w, true)
 }
@@ -154,7 +168,8 @@ type bvix3Writer struct {
 	impacts    []byte
 }
 
-// add encodes one term.
+// add encodes one term. Its count is the posting's length; a missing
+// frequency is written as 1 (appendFreqList).
 func (bw *bvix3Writer) add(name string, e termEntry) error {
 	if bw.terms%bvix3FrameLen == 0 {
 		bw.frames = binary.LittleEndian.AppendUint64(bw.frames, uint64(len(bw.dict)))
@@ -166,18 +181,20 @@ func (bw *bvix3Writer) add(name string, e termEntry) error {
 	for len(bw.payload)%bvix3RecAlign != 0 {
 		bw.payload = append(bw.payload, 0)
 	}
+	count := e.posting.Len()
 	payOff := uint64(len(bw.payload))
 	bw.payload = append(bw.payload, blob...)
-	for _, f := range e.freqs {
-		bw.payload = binary.LittleEndian.AppendUint16(bw.payload, f)
-	}
+	bw.payload = appendFreqList(bw.payload, e.freqs, count)
+	freqs := bw.payload[payOff+uint64(len(blob)):]
 	bw.dict = binary.LittleEndian.AppendUint16(bw.dict, uint16(len(name)))
 	bw.dict = append(bw.dict, name...)
-	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, uint32(len(e.freqs)))
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, uint32(count))
 	bw.dict = binary.LittleEndian.AppendUint64(bw.dict, payOff)
 	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, uint32(len(blob)))
-	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, crc32.Checksum(bw.payload[payOff:], castagnoli))
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, crc32.Checksum(blob, castagnoli))
 	bw.dict = append(bw.dict, codecByteFor(e, blob))
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, uint32(len(freqs)))
+	bw.dict = binary.LittleEndian.AppendUint32(bw.dict, crc32.Checksum(freqs, castagnoli))
 	if bw.withImpacts {
 		// Records are 8-aligned and the offset table is 8 bytes a term,
 		// so rebasing past the table keeps every record's alignment.
@@ -270,12 +287,21 @@ type bvix3Geometry struct {
 	docs       int
 	terms      int
 	frameLen   int
-	dict       []byte
+	dict       dictSection
 	frames     []byte
 	payload    []byte
-	impacts    []byte // v4 impacts section; nil for v3 files
+	impacts    []byte // impacts section; nil for v3 and v5 files
 	hasImpacts bool
 	sizeBytes  int // sum of posting blob lengths
+}
+
+// dictSection is the dict section's bytes and the record layout its
+// version uses.
+type dictSection struct {
+	b []byte
+	// freqLists marks v5 and v6 records, which end with the length and
+	// CRC of the term's γ frequency list.
+	freqLists bool
 }
 
 // codecByteFor resolves the codec byte for one dict record: the
@@ -304,33 +330,62 @@ type dictRecord struct {
 	count   int
 	payOff  uint64
 	postLen uint32
-	payCRC  uint32 // CRC32-C of the payload record (blob + freq bytes)
+	payCRC  uint32 // CRC32-C of the blob (v3, v4: of the blob and the raw frequencies)
 	codec   byte   // registry codec ID (codecs.NameByID); 0 = unspecified
+	freqLen uint64 // byte length of the frequencies: the γ list, or 2 × count raw bytes
+	freqCRC uint32 // CRC32-C of the γ list (v5, v6)
+	gamma   bool   // the frequencies are a γ list (v5, v6)
 	next    int    // dict offset of the following record
 }
 
-// parseDictRecord reads the record starting at dict[off]. Bounds are
-// re-checked on every parse so the lookup path never trusts offsets
+// end is the payload-relative offset just past the record: the posting
+// blob, then the frequencies. It is the one place a record's extent is
+// derived, for the open-time tiling walk and every decode alike.
+func (r dictRecord) end() uint64 { return r.payOff + uint64(r.postLen) + r.freqLen }
+
+// payCRCEnd is where the bytes payCRC covers end: the blob alone when
+// the frequencies are a γ list with their own CRC, the whole record
+// otherwise.
+func (r dictRecord) payCRCEnd() uint64 {
+	if r.gamma {
+		return r.payOff + uint64(r.postLen)
+	}
+	return r.end()
+}
+
+// parseDictRecord reads the record starting at dict offset off. Bounds
+// are re-checked on every parse so the lookup path never trusts offsets
 // further than the open-time validation that produced them.
-func parseDictRecord(dict []byte, off int) (dictRecord, error) {
-	if off < 0 || off+2 > len(dict) {
+func parseDictRecord(dict dictSection, off int) (dictRecord, error) {
+	fixed := bvix3RecordFixed
+	if dict.freqLists {
+		fixed += bvix3FreqFields
+	}
+	if off < 0 || off+2 > len(dict.b) {
 		return dictRecord{}, fmt.Errorf("index: dict record at %d overruns section", off)
 	}
-	nameLen := int(binary.LittleEndian.Uint16(dict[off:]))
-	if off+bvix3RecordFixed+nameLen > len(dict) {
+	nameLen := int(binary.LittleEndian.Uint16(dict.b[off:]))
+	if off+fixed+nameLen > len(dict.b) {
 		return dictRecord{}, fmt.Errorf("index: dict record at %d overruns section", off)
 	}
-	name := dict[off+2 : off+2+nameLen]
 	p := off + 2 + nameLen
-	return dictRecord{
-		name:    name,
-		count:   int(binary.LittleEndian.Uint32(dict[p:])),
-		payOff:  binary.LittleEndian.Uint64(dict[p+4:]),
-		postLen: binary.LittleEndian.Uint32(dict[p+12:]),
-		payCRC:  binary.LittleEndian.Uint32(dict[p+16:]),
-		codec:   dict[p+20],
-		next:    off + bvix3RecordFixed + nameLen,
-	}, nil
+	rec := dictRecord{
+		name:    dict.b[off+2 : p],
+		count:   int(binary.LittleEndian.Uint32(dict.b[p:])),
+		payOff:  binary.LittleEndian.Uint64(dict.b[p+4:]),
+		postLen: binary.LittleEndian.Uint32(dict.b[p+12:]),
+		payCRC:  binary.LittleEndian.Uint32(dict.b[p+16:]),
+		codec:   dict.b[p+20],
+		gamma:   dict.freqLists,
+		next:    off + fixed + nameLen,
+	}
+	if dict.freqLists {
+		rec.freqLen = uint64(binary.LittleEndian.Uint32(dict.b[p+21:]))
+		rec.freqCRC = binary.LittleEndian.Uint32(dict.b[p+25:])
+	} else {
+		rec.freqLen = 2 * uint64(rec.count)
+	}
+	return rec, nil
 }
 
 // bvix3Section is one entry of the header's section table.
@@ -379,7 +434,7 @@ func parseBVIX3(data []byte) (*bvix3Geometry, error) {
 // It is the part of open that must hold even for degraded-mode
 // recovery — a file whose shell fails has no trustworthy map of its
 // own bytes and cannot be salvaged section by section. The returned
-// slice has one entry per section: 3 for v3 files, 4 for v4.
+// slice has one entry per section: 3, or 4 with the impacts section.
 func parseBVIX3Shell(data []byte) (*bvix3Geometry, []bvix3Section, error) {
 	if err := checkMagic(data); err != nil {
 		return nil, nil, err
@@ -390,15 +445,19 @@ func parseBVIX3Shell(data []byte) (*bvix3Geometry, []bvix3Section, error) {
 	// The version byte positions the section table and header CRC, so
 	// it is read before the CRC check; an unsupported value fails here,
 	// and a corrupted-but-supported one fails the CRC at its layout.
-	nSec := 0
+	nSec, gamma := 0, false
 	switch data[5] {
-	case bvix3Version:
+	case bvix3VersionRaw:
 		nSec = 3
-	case bvix3VersionImpacts:
+	case bvix3VersionRawImpacts:
 		nSec = 4
+	case bvix3Version:
+		nSec, gamma = 3, true
+	case bvix3VersionImpacts:
+		nSec, gamma = 4, true
 	default:
-		return nil, nil, fmt.Errorf("index: %w: BVIX3 file declares version %d, this build reads versions %d and %d",
-			core.ErrVersion, data[5], bvix3Version, bvix3VersionImpacts)
+		return nil, nil, fmt.Errorf("index: %w: BVIX3 file declares version %d, this build reads versions %d to %d",
+			core.ErrVersion, data[5], bvix3VersionRaw, bvix3VersionImpacts)
 	}
 	hdrSize := bvix3HeaderSizeFor(nSec)
 	if got := binary.LittleEndian.Uint32(data[hdrSize-4:]); got != crc32.Checksum(data[len(bvix3Magic):hdrSize-4], castagnoli) {
@@ -456,7 +515,7 @@ func parseBVIX3Shell(data []byte) (*bvix3Geometry, []bvix3Section, error) {
 			}
 		}
 	}
-	g.dict = data[secs[0].off : secs[0].off+secs[0].length]
+	g.dict = dictSection{b: data[secs[0].off : secs[0].off+secs[0].length], freqLists: gamma}
 	g.frames = data[secs[1].off : secs[1].off+secs[1].length]
 	g.payload = data[secs[2].off : secs[2].off+secs[2].length]
 	if g.hasImpacts {
@@ -528,7 +587,13 @@ func (g *bvix3Geometry) walkDict(strict, checkFrames bool) (int, error) {
 			}
 			return i, fmt.Errorf("index: term %q payload at %d, want %d", rec.name, rec.payOff, align(payCur, bvix3RecAlign))
 		}
-		payCur = rec.payOff + uint64(rec.postLen) + 2*uint64(rec.count)
+		if rec.gamma && (rec.freqLen < (uint64(rec.count)+7)/8 || rec.freqLen > (uint64(2*maxFreqExp+1)*uint64(rec.count)+7)/8) {
+			if !strict {
+				return i, nil
+			}
+			return i, fmt.Errorf("index: term %q frequency list is %d bytes for %d postings", rec.name, rec.freqLen, rec.count)
+		}
+		payCur = rec.end()
 		if payCur > uint64(len(g.payload)) {
 			if !strict {
 				return i, nil
@@ -538,11 +603,11 @@ func (g *bvix3Geometry) walkDict(strict, checkFrames bool) (int, error) {
 		g.sizeBytes += int(rec.postLen)
 		prev, cur = rec.name, rec.next
 	}
-	if cur != len(g.dict) {
+	if cur != len(g.dict.b) {
 		if !strict {
 			return g.terms, nil
 		}
-		return g.terms, fmt.Errorf("index: %d trailing bytes after last BVIX3 dict record", len(g.dict)-cur)
+		return g.terms, fmt.Errorf("index: %d trailing bytes after last BVIX3 dict record", len(g.dict.b)-cur)
 	}
 	if payCur != uint64(len(g.payload)) {
 		if !strict {
@@ -553,10 +618,10 @@ func (g *bvix3Geometry) walkDict(strict, checkFrames bool) (int, error) {
 	return g.terms, nil
 }
 
-// materialize decodes one record's posting and frequency payload into
-// heap-owned memory. Decoders copy what they keep (the core.Decoder
+// decodePosting decodes one record's docid blob into heap-owned memory
+// and names its codec. Decoders copy what they keep (the core.Decoder
 // borrowed-bytes contract), so the result never aliases the mapping.
-func (g *bvix3Geometry) materialize(rec dictRecord) (termEntry, error) {
+func (g *bvix3Geometry) decodePosting(rec dictRecord) (core.Posting, string, error) {
 	blob := g.payload[rec.payOff : rec.payOff+uint64(rec.postLen)]
 	blobCodec, _ := codecs.IdentifyBlob(blob)
 	codecName := blobCodec
@@ -566,26 +631,57 @@ func (g *bvix3Geometry) materialize(rec dictRecord) (termEntry, error) {
 		// story about these bytes.
 		want, ok := codecs.NameByID(rec.codec)
 		if !ok {
-			return termEntry{}, fmt.Errorf("index: %w: term %q codec byte %d out of range",
+			return nil, "", fmt.Errorf("index: %w: term %q codec byte %d out of range",
 				core.ErrBadFormat, rec.name, rec.codec)
 		}
 		if blobCodec != want {
-			return termEntry{}, fmt.Errorf("index: %w: term %q dict declares codec %s, blob is %q",
+			return nil, "", fmt.Errorf("index: %w: term %q dict declares codec %s, blob is %q",
 				core.ErrBadFormat, rec.name, want, blobCodec)
 		}
 		codecName = want
 	}
 	p, err := codecs.Decode(blob)
 	if err != nil {
-		return termEntry{}, fmt.Errorf("index: term %q posting: %w", rec.name, err)
+		return nil, "", fmt.Errorf("index: term %q posting: %w", rec.name, err)
 	}
 	if p.Len() != rec.count {
-		return termEntry{}, fmt.Errorf("index: term %q: %d postings but %d frequencies", rec.name, p.Len(), rec.count)
+		return nil, "", fmt.Errorf("index: term %q: %d postings, dict says %d", rec.name, p.Len(), rec.count)
 	}
-	freqB := g.payload[rec.payOff+uint64(rec.postLen):][:2*rec.count]
+	return p, codecName, nil
+}
+
+// freqBytes is one record's frequency payload.
+func (g *bvix3Geometry) freqBytes(rec dictRecord) []byte {
+	return g.payload[rec.payOff+uint64(rec.postLen) : rec.end()]
+}
+
+// decodeFreqs decodes one record's frequencies into heap-owned memory:
+// the γ list, or the 2 × count raw bytes of a v3 or v4 file.
+func (g *bvix3Geometry) decodeFreqs(rec dictRecord) ([]uint16, error) {
+	b := g.freqBytes(rec)
+	if rec.gamma {
+		f, err := decodeFreqList(b, rec.count)
+		if err != nil {
+			return nil, fmt.Errorf("index: term %q frequencies: %w", rec.name, err)
+		}
+		return f, nil
+	}
 	freqs := make([]uint16, rec.count)
 	for i := range freqs {
-		freqs[i] = binary.LittleEndian.Uint16(freqB[2*i:])
+		freqs[i] = binary.LittleEndian.Uint16(b[2*i:])
+	}
+	return freqs, nil
+}
+
+// materialize decodes one record's posting and frequencies.
+func (g *bvix3Geometry) materialize(rec dictRecord) (termEntry, error) {
+	p, codecName, err := g.decodePosting(rec)
+	if err != nil {
+		return termEntry{}, err
+	}
+	freqs, err := g.decodeFreqs(rec)
+	if err != nil {
+		return termEntry{}, err
 	}
 	return termEntry{posting: p, freqs: freqs, codec: codecName}, nil
 }
@@ -605,9 +701,14 @@ func readBVIX3(data []byte) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := g.materializeAt(rec, i)
+		e, err := g.materialize(rec)
 		if err != nil {
 			return nil, err
+		}
+		if g.hasImpacts {
+			if e.impacts, err = g.materializeImpacts(rec, i); err != nil {
+				return nil, err
+			}
 		}
 		idx.terms[string(rec.name)] = e
 		cur = rec.next
@@ -615,27 +716,13 @@ func readBVIX3(data []byte) (*Index, error) {
 	return idx, nil
 }
 
-// materializeAt is materialize plus the term's impact annotations when
-// the file carries them; ordinal is the term's position in dict order
-// (the impacts offset-table key).
-func (g *bvix3Geometry) materializeAt(rec dictRecord, ordinal int) (termEntry, error) {
-	e, err := g.materialize(rec)
-	if err != nil || !g.hasImpacts {
-		return e, err
-	}
-	m, err := g.materializeImpacts(rec, ordinal)
-	if err != nil {
-		return termEntry{}, err
-	}
-	e.impacts = m
-	return e, nil
-}
-
-// lazyIndex backs an Index opened from a BVIX3 mapping: terms
-// materialize on first access straight out of the mapped sections and
-// are memoized. All borrowed-byte reads happen under the read lock;
-// close takes the write lock before unmapping, so no lookup can touch
-// the mapping mid-unmap.
+// lazyIndex backs an Index opened from a BVIX3 mapping: a term's
+// docids decode on its first lookup straight out of the mapped
+// sections and are memoized; its frequencies and impacts decode only
+// when a ranked query, a merge or a rewrite first needs them (lazyTerm).
+// All borrowed-byte reads happen under the read lock; close takes the
+// write lock before unmapping, so no lookup or load can touch the
+// mapping mid-unmap, and none touches it after.
 type lazyIndex struct {
 	geo       bvix3Geometry
 	termCount int
@@ -643,79 +730,133 @@ type lazyIndex struct {
 
 	// degraded marks an index salvaged by OpenFileDegraded; quarantined
 	// names (payload records that failed verification) are reported
-	// absent without touching the mapping, and impactsQuarantined names
-	// are served WITHOUT their impact annotations (postings intact,
-	// ranking falls back to frequency-derived impacts). All are fixed
-	// at open time.
+	// absent without touching the mapping. impactsQuarantined names are
+	// served WITHOUT their impact annotations (postings intact, ranking
+	// falls back to frequency-derived impacts), and freqsQuarantined
+	// names, whose frequency list failed its CRC, without their
+	// frequencies too, so they rank by document count. All are fixed at
+	// open time.
 	degraded           bool
 	quarantined        map[string]struct{}
 	impactsQuarantined map[string]struct{}
+	freqsQuarantined   map[string]struct{}
 
 	mu     sync.RWMutex
-	ready  map[string]termEntry
+	ready  map[string]*lazyTerm
 	closed bool
 	closer io.Closer // the mapping; nil when backed by heap bytes
 }
 
-// entry resolves and memoizes one term. Terms that fail to decode are
-// reported absent — unreachable in practice, since every section
-// checksum was verified at open time.
+// lazyTerm is one mapped term as its first lookup left it: the docids
+// decoded, plus the dict record through which its frequencies and its
+// impacts load on first use, each behind its own once-guard. Loads read
+// the mapping under the index's read lock and never after close; a
+// load that finds the index closed, or bytes that fail to decode,
+// leaves its payload nil, and ranking falls back as for an index that
+// never had it.
+type lazyTerm struct {
+	lz        *lazyIndex
+	posting   core.Posting
+	codec     string
+	rec       dictRecord // name cleared: it borrows the mapping
+	ordinal   int        // dict-order position, the impacts offset-table key
+	noFreqs   bool       // frequencies quarantined
+	noImpacts bool       // no impacts section, or impacts quarantined
+
+	freqOnce sync.Once
+	freqs    []uint16
+	impOnce  sync.Once
+	impacts  *impactMeta
+}
+
+// newTerm wraps one record's decoded posting, applying the open's
+// quarantine verdicts for its frequencies and impacts.
+func (lz *lazyIndex) newTerm(rec dictRecord, ordinal int, p core.Posting, codec string) *lazyTerm {
+	_, noFreqs := lz.freqsQuarantined[string(rec.name)]
+	_, noImpacts := lz.impactsQuarantined[string(rec.name)]
+	rec.name = nil
+	return &lazyTerm{
+		lz: lz, posting: p, codec: codec, rec: rec, ordinal: ordinal,
+		noFreqs: noFreqs, noImpacts: noImpacts || !lz.geo.hasImpacts,
+	}
+}
+
+// frequencies returns the term's frequencies, decoded on first use.
+func (lt *lazyTerm) frequencies() []uint16 {
+	lt.freqOnce.Do(func() {
+		if !lt.noFreqs {
+			lt.lz.withMapping(func(g *bvix3Geometry) {
+				lt.freqs, _ = g.decodeFreqs(lt.rec)
+			})
+		}
+	})
+	return lt.freqs
+}
+
+// storedImpacts returns the term's impact annotations, decoded on first
+// use.
+func (lt *lazyTerm) storedImpacts() *impactMeta {
+	lt.impOnce.Do(func() {
+		if !lt.noImpacts {
+			lt.lz.withMapping(func(g *bvix3Geometry) {
+				lt.impacts, _ = g.materializeImpacts(lt.rec, lt.ordinal)
+			})
+		}
+	})
+	return lt.impacts
+}
+
+// withMapping runs f over the mapped geometry under the read lock,
+// unless the index is closed.
+func (lz *lazyIndex) withMapping(f func(*bvix3Geometry)) {
+	lz.mu.RLock()
+	defer lz.mu.RUnlock()
+	if !lz.closed {
+		f(&lz.geo)
+	}
+}
+
+// entry resolves and memoizes one term, decoding its docid blob only.
+// Terms that fail to decode are reported absent — unreachable in
+// practice, since every section checksum was verified at open time.
 func (lz *lazyIndex) entry(term string) (termEntry, bool) {
 	if _, bad := lz.quarantined[term]; bad {
 		return termEntry{}, false
 	}
 	lz.mu.RLock()
-	if e, ok := lz.ready[term]; ok {
-		lz.mu.RUnlock()
-		return e, true
-	}
-	if lz.closed {
-		lz.mu.RUnlock()
-		return termEntry{}, false
-	}
-	e, ok := func() (termEntry, bool) {
-		rec, ordinal, ok := lz.locate(term)
-		if !ok {
-			return termEntry{}, false
+	lt, ok := lz.ready[term]
+	if !ok && !lz.closed {
+		if rec, ordinal, found := lz.locate(term); found {
+			if p, codec, err := lz.geo.decodePosting(rec); err == nil {
+				lt = lz.newTerm(rec, ordinal, p, codec)
+			}
 		}
-		e, err := lz.materializeFor(rec, ordinal)
-		return e, err == nil
-	}()
+	}
 	lz.mu.RUnlock()
-	if !ok {
+	if lt == nil {
 		return termEntry{}, false
 	}
-	lz.mu.Lock()
-	if prev, dup := lz.ready[term]; dup {
-		e = prev // concurrent materializers converge on one shared entry
-	} else {
-		lz.ready[term] = e
+	if !ok {
+		lz.mu.Lock()
+		if prev, dup := lz.ready[term]; dup {
+			lt = prev // concurrent materializers converge on one shared term
+		} else {
+			lz.ready[term] = lt
+		}
+		lz.mu.Unlock()
 	}
-	lz.mu.Unlock()
-	return e, true
+	return termEntry{posting: lt.posting, codec: lt.codec, lazy: lt}, true
 }
 
-// materializeFor resolves one record to a term entry, attaching impact
-// annotations when the file carries them. On a degraded index a term
-// whose impacts were quarantined (or fail to decode) still serves its
-// postings — ranking just falls back to frequency-derived impacts.
-func (lz *lazyIndex) materializeFor(rec dictRecord, ordinal int) (termEntry, error) {
-	e, err := lz.geo.materialize(rec)
-	if err != nil || !lz.geo.hasImpacts {
-		return e, err
+// materialize decodes a record's docids and its frequencies, less
+// frequencies the open quarantined — what a merge or a rewrite
+// carries. Caller holds the read lock.
+func (lz *lazyIndex) materialize(rec dictRecord) (termEntry, error) {
+	if _, bad := lz.freqsQuarantined[string(rec.name)]; !bad {
+		return lz.geo.materialize(rec)
 	}
-	if _, bad := lz.impactsQuarantined[string(rec.name)]; bad {
-		return e, nil
-	}
-	m, merr := lz.geo.materializeImpacts(rec, ordinal)
-	if merr != nil {
-		if lz.degraded {
-			return e, nil
-		}
-		return termEntry{}, merr
-	}
-	e.impacts = m
-	return e, nil
+	p, codecName, err := lz.geo.decodePosting(rec)
+	return termEntry{posting: p, codec: codecName}, err
 }
 
 // locate finds a term's dict record and its dict-order ordinal (the
@@ -756,8 +897,9 @@ func (lz *lazyIndex) locate(term string) (dictRecord, int, bool) {
 	return dictRecord{}, 0, false
 }
 
-// allEntries materializes every term in dict order (for rewriting via
-// WriteTo/WriteBVIX3Impacts). On a degraded index the quarantined
+// allEntries materializes every term's docids and frequencies in dict
+// order (for rewriting via WriteTo/WriteBVIX3Impacts, which recompute
+// impacts from the frequencies). On a degraded index the quarantined
 // terms are skipped — rewriting a salvaged index persists exactly what
 // it can still serve, which is the rebuild runbook.
 func (lz *lazyIndex) allEntries() ([]string, []termEntry, error) {
@@ -778,7 +920,7 @@ func (lz *lazyIndex) allEntries() ([]string, []termEntry, error) {
 		if _, bad := lz.quarantined[string(rec.name)]; bad {
 			continue
 		}
-		e, err := lz.materializeFor(rec, i)
+		e, err := lz.materialize(rec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -848,7 +990,7 @@ func (c *dictCursor) take() (termEntry, error) {
 		lz.mu.RUnlock()
 		return termEntry{}, errIndexClosed
 	}
-	e, err := lz.geo.materialize(c.rec)
+	e, err := lz.materialize(c.rec)
 	lz.mu.RUnlock()
 	if err != nil {
 		return termEntry{}, err
@@ -863,7 +1005,7 @@ func (lz *lazyIndex) close() error {
 		return nil
 	}
 	lz.closed = true
-	lz.geo.dict, lz.geo.frames, lz.geo.payload, lz.geo.impacts = nil, nil, nil, nil
+	lz.geo.dict.b, lz.geo.frames, lz.geo.payload, lz.geo.impacts = nil, nil, nil, nil
 	if lz.closer != nil {
 		return lz.closer.Close()
 	}
@@ -903,7 +1045,7 @@ func openBVIX3Lazy(data []byte, closer io.Closer) (*Index, error) {
 		geo:       *g,
 		termCount: g.terms,
 		sizeBytes: g.sizeBytes,
-		ready:     make(map[string]termEntry),
+		ready:     make(map[string]*lazyTerm),
 		closer:    closer,
 	}
 	return &Index{docs: g.docs, lazy: lz}, nil

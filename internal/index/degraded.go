@@ -21,10 +21,12 @@ import (
 //     with full bounds/order/tiling validation and cut at the first
 //     violation; the valid prefix is served, the rest quarantined.
 //   - payload section corrupt: every surviving term's posting blob is
-//     decoded and cross-checked against its dict record up front;
-//     terms whose payload no longer decodes cleanly are quarantined by
-//     name, the rest are served from the verified decode.
-//   - impacts section corrupt (v4 files): every surviving term's
+//     re-checksummed, decoded and cross-checked against its dict record
+//     up front; terms whose blob no longer checksums or decodes cleanly
+//     are quarantined by name, the rest are served from the verified
+//     decode. A term whose γ frequency list alone fails its CRC keeps
+//     serving its postings but ranks by document count.
+//   - impacts section corrupt (v4, v6 files): every surviving term's
 //     impact record is re-verified against its own per-record CRC;
 //     terms whose impact bytes no longer checksum or decode keep
 //     serving their postings but lose the stored annotations — ranked
@@ -51,7 +53,8 @@ type Health struct {
 	QuarantinedTerms int `json:"quarantinedTerms,omitempty"`
 	// QuarantinedImpacts counts terms still serving their postings but
 	// stripped of stored impact annotations (ranking falls back to
-	// frequency-derived impacts for them).
+	// frequency-derived impacts for them) or of a frequency list that
+	// failed its CRC (ranking falls back to document counting).
 	QuarantinedImpacts int `json:"quarantinedImpacts,omitempty"`
 }
 
@@ -146,20 +149,26 @@ func openBVIX3Degraded(data []byte, closer io.Closer) (*Index, error) {
 		degraded:           true,
 		quarantined:        map[string]struct{}{},
 		impactsQuarantined: map[string]struct{}{},
-		ready:              make(map[string]termEntry),
+		freqsQuarantined:   map[string]struct{}{},
+		ready:              make(map[string]*lazyTerm),
 		closer:             closer,
 	}
 
 	// With a corrupt payload section nothing in it can be taken on
 	// faith: re-verify every surviving record now against its own
-	// per-record CRC from the (intact) dict. Only records whose bytes
-	// still checksum are decoded and served; the rest are quarantined
+	// per-record CRCs from the (intact) dict. Only records whose blob
+	// still checksums are decoded and served; the rest are quarantined
 	// by name. The CRC gate is what makes salvage loss-only — corrupt
 	// bytes can decode "cleanly" into plausible garbage (right count,
 	// sorted, in range) that no structural check would catch. The
 	// structural checks remain as belt-and-suspenders behind it.
 	// (This forfeits lazy open's deferred decode — acceptable in a
-	// mode whose purpose is limping through damage.)
+	// mode whose purpose is limping through damage.) A γ frequency
+	// list has a CRC of its own: a term whose list fails it keeps
+	// serving its docids but loses its frequencies and its stored
+	// impacts, so it ranks by document count and counts as an impacts
+	// quarantine. (In v3 and v4 files one CRC covers the blob and the
+	// raw frequencies, so either failing withholds the term.)
 	//
 	// A corrupt impacts section gets the same per-record treatment, but
 	// quarantine is softer: impacts are ranking annotations, not
@@ -179,33 +188,36 @@ func openBVIX3Degraded(data []byte, closer io.Closer) (*Index, error) {
 			}
 			cur = rec.next
 			name := string(rec.name)
-			var e termEntry
+			var (
+				p     core.Posting
+				codec string
+			)
 			if badPayload {
-				payEnd := rec.payOff + uint64(rec.postLen) + 2*uint64(rec.count)
-				if crc32.Checksum(g.payload[rec.payOff:payEnd], castagnoli) != rec.payCRC {
+				if crc32.Checksum(g.payload[rec.payOff:rec.payCRCEnd()], castagnoli) != rec.payCRC {
 					lz.quarantined[name] = struct{}{}
 					continue
 				}
-				var merr error
-				e, merr = materializeSalvage(&lz.geo, rec)
-				if merr == nil && !postingInRange(e.posting, g.docs) {
-					merr = fmt.Errorf("index: term %q: decoded postings out of range", rec.name)
+				var perr error
+				p, codec, perr = salvagePosting(&lz.geo, rec)
+				if perr == nil && !postingInRange(p, g.docs) {
+					perr = fmt.Errorf("index: term %q: decoded postings out of range", rec.name)
 				}
-				if merr != nil {
+				if perr != nil {
 					lz.quarantined[name] = struct{}{}
 					continue
 				}
-			}
-			if g.hasImpacts {
-				m, ierr := salvageImpacts(&lz.geo, rec, i, badImpacts)
-				if ierr != nil {
+				if rec.gamma && crc32.Checksum(g.freqBytes(rec), castagnoli) != rec.freqCRC {
+					lz.freqsQuarantined[name] = struct{}{}
 					lz.impactsQuarantined[name] = struct{}{}
-				} else if badPayload {
-					e.impacts = m
+				}
+			}
+			if _, lost := lz.impactsQuarantined[name]; g.hasImpacts && !lost {
+				if _, ierr := salvageImpacts(&lz.geo, rec, i, badImpacts); ierr != nil {
+					lz.impactsQuarantined[name] = struct{}{}
 				}
 			}
 			if badPayload {
-				lz.ready[name] = e
+				lz.ready[name] = lz.newTerm(rec, i, p, codec)
 			}
 		}
 	}
@@ -222,18 +234,18 @@ func openBVIX3Degraded(data []byte, closer io.Closer) (*Index, error) {
 	}, nil
 }
 
-// materializeSalvage wraps geometry materialization in a panic barrier.
+// salvagePosting decodes one record's posting behind a panic barrier.
 // The codec decoders are written for trusted post-checksum bytes; the
-// salvage pass deliberately feeds them bytes whose checksum FAILED, so
-// any malformed-input panic in a decoder must mean "quarantine this
-// term", never "crash the open".
-func materializeSalvage(geo *bvix3Geometry, rec dictRecord) (e termEntry, err error) {
+// salvage pass deliberately feeds them bytes whose section checksum
+// FAILED, so any malformed-input panic in a decoder must mean
+// "quarantine this term", never "crash the open".
+func salvagePosting(geo *bvix3Geometry, rec dictRecord) (p core.Posting, codec string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("index: term %q: decoder panic on corrupt payload: %v", rec.name, r)
 		}
 	}()
-	return geo.materialize(rec)
+	return geo.decodePosting(rec)
 }
 
 // salvageImpacts materializes one term's impact annotations behind the

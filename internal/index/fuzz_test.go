@@ -100,6 +100,42 @@ func FuzzBVIX3Read(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(preTail)
+	// Frequency-list seeds: the v5 and v6 files above carry one γ list
+	// per term. Beside them: a v3 file with raw frequencies
+	// (testdata/prefreq/README.md), a v5 file truncated inside a
+	// frequency list, one whose dict bends a list's length, and one whose
+	// list bytes are bent under a resealed payload checksum, so that the
+	// first ranked touch, not open, meets the bad list.
+	preFreq, err := os.ReadFile(preFreqIndexFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(preFreq)
+	if g, err := parseBVIX3(autoFile); err == nil {
+		secs := sectionOffsets(autoFile)
+		for cur, i := 0, 0; i < g.terms; i++ {
+			rec, err := parseDictRecord(g.dict, cur)
+			if err != nil || rec.freqLen == 0 {
+				break
+			}
+			if i < g.terms/2 {
+				cur = rec.next
+				continue
+			}
+			list := secs[2][0] + rec.payOff + uint64(rec.postLen)
+			f.Add(autoFile[:list+rec.freqLen/2])
+			bent := append([]byte{}, autoFile...)
+			bent[secs[0][0]+uint64(cur)+2+uint64(len(rec.name))+21]++ // list length
+			fuzzResealDict(bent)
+			f.Add(bent)
+			bent = append([]byte{}, autoFile...)
+			bent[list] ^= 0x24
+			binary.LittleEndian.PutUint32(bent[24+2*20+16:], crc32.Checksum(bent[secs[2][0]:secs[2][0]+secs[2][1]], castagnoli))
+			reseal3Header(bent)
+			f.Add(bent)
+			break
+		}
+	}
 	f.Add([]byte{})
 	f.Add([]byte("BVIX3"))
 	f.Add(append([]byte("BVIX3\x01\x00\x00"), make([]byte, bvix3DataStart)...))

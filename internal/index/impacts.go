@@ -11,7 +11,7 @@ import (
 	"repro/internal/ops"
 )
 
-// Impact-annotated postings: the BVIX3 v4 impacts section and its
+// Impact-annotated postings: the BVIX3 impacts section (v4, v6) and its
 // in-memory form. Ranked top-k retrieval scores a document as the sum
 // of its quantized per-term impacts; Block-Max pruning additionally
 // needs, per term, the maximum impact of every 128-posting block and
@@ -384,28 +384,29 @@ func (l *termImpactList) Decoded() bool { return l.bd == nil }
 // topkLists assembles the per-term impact lists for a ranked query.
 // Terms carrying stored impact annotations over a block-frame posting
 // get lazy block cursors; everything else (bitmap-compressed lists,
-// impact-less indexes and v3 files) falls back to decoded postings
-// — cache-served when hot — with impacts taken from the stored
-// annotations or derived on the fly from the frequency payload.
+// impact-less indexes and files) falls back to decoded postings —
+// cache-served when hot — with impacts taken from the stored
+// annotations or derived on the fly from the frequencies. A mapped
+// term's frequencies are decoded only when it has no stored impacts.
 func (idx *Index) topkLists(terms []string) []ops.ImpactList {
 	var lists []ops.ImpactList
 	for _, t := range terms {
-		e, ok := idx.entry(t)
+		e, ok := idx.term(t)
 		if !ok || e.posting.Len() == 0 {
 			continue // disjunctive scoring: missing terms just contribute nothing
 		}
-		if e.impacts != nil {
+		if m := e.storedImpacts(); m != nil {
 			if bd, ok := e.posting.(core.BlockDecoder); ok &&
-				bd.BlockSpan() == e.impacts.blockLen &&
-				bd.NumBlocks() == len(e.impacts.blockLast) {
-				lists = append(lists, &termImpactList{meta: e.impacts, bd: bd})
+				bd.BlockSpan() == m.blockLen &&
+				bd.NumBlocks() == len(m.blockLast) {
+				lists = append(lists, &termImpactList{meta: m, bd: bd})
 				continue
 			}
-			lists = append(lists, &termImpactList{meta: e.impacts, vals: idx.DecodedPostings(t)})
+			lists = append(lists, &termImpactList{meta: m, vals: idx.DecodedPostings(t)})
 			continue
 		}
 		vals := idx.DecodedPostings(t)
-		lists = append(lists, &termImpactList{meta: buildImpactMeta(vals, e.freqs), vals: vals})
+		lists = append(lists, &termImpactList{meta: buildImpactMeta(vals, e.frequencies()), vals: vals})
 	}
 	return lists
 }

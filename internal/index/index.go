@@ -208,9 +208,33 @@ type termEntry struct {
 	codec   string   // registry name of the posting's codec ("" when unknown)
 
 	// impacts carries the term's stored impact annotations when the
-	// backing file has an impacts section (BVIX3 v4); nil otherwise, in
-	// which case ranked queries derive impacts from freqs on the fly.
+	// backing file has an impacts section; nil otherwise, in which case
+	// ranked queries derive impacts from freqs on the fly.
 	impacts *impactMeta
+
+	// lazy, set on an entry resolved from a mapping, is where its
+	// frequencies and impacts load from on first use: such an entry
+	// leaves freqs and impacts unset. Read them through frequencies and
+	// storedImpacts.
+	lazy *lazyTerm
+}
+
+// frequencies returns the entry's frequencies, decoding a mapped
+// term's on first use.
+func (e termEntry) frequencies() []uint16 {
+	if e.lazy != nil {
+		return e.lazy.frequencies()
+	}
+	return e.freqs
+}
+
+// storedImpacts returns the entry's impact annotations, decoding a
+// mapped term's on first use.
+func (e termEntry) storedImpacts() *impactMeta {
+	if e.lazy != nil {
+		return e.lazy.storedImpacts()
+	}
+	return e.impacts
 }
 
 // Index answers boolean and top-k queries over compressed postings.
@@ -241,14 +265,17 @@ type Index struct {
 	closeHooks []func()
 }
 
-// entry resolves a term to its posting entry, consulting the eager map
-// first and then the lazy BVIX3 backend.
-func (idx *Index) entry(term string) (termEntry, bool) {
-	if e, ok := idx.terms[term]; ok {
+// term resolves a term, consulting the eager map first and then the
+// lazy BVIX3 backend. A mapped term comes back with only its docids
+// decoded; its frequencies and impacts stay in the mapping until
+// frequencies or storedImpacts asks for them, so a boolean query never
+// reads either.
+func (idx *Index) term(name string) (termEntry, bool) {
+	if e, ok := idx.terms[name]; ok {
 		return e, true
 	}
 	if idx.lazy != nil {
-		return idx.lazy.entry(term)
+		return idx.lazy.entry(name)
 	}
 	return termEntry{}, false
 }
@@ -278,7 +305,7 @@ var EmptyPostings = make([]uint32, 0)
 // read-only: it may be served concurrently to other queries. Callers
 // that need to mutate must copy.
 func (idx *Index) DecodedPostings(term string) []uint32 {
-	e, ok := idx.entry(term)
+	e, ok := idx.term(term)
 	if !ok {
 		return EmptyPostings
 	}
@@ -327,7 +354,7 @@ func (idx *Index) SizeBytes() int {
 // terms yield the EmptyPosting sentinel (never nil), so callers can
 // chain Len/Decompress without a nil check.
 func (idx *Index) Postings(term string) core.Posting {
-	if e, ok := idx.entry(term); ok {
+	if e, ok := idx.term(term); ok {
 		return e.posting
 	}
 	return EmptyPosting
@@ -380,7 +407,7 @@ func (idx *Index) Close() error {
 func (idx *Index) Conjunctive(terms ...string) ([]uint32, error) {
 	ps := make([]core.Posting, 0, len(terms))
 	for _, t := range terms {
-		e, ok := idx.entry(t)
+		e, ok := idx.term(t)
 		if !ok {
 			return nil, nil // a missing term empties the conjunction
 		}
@@ -402,7 +429,7 @@ func (idx *Index) Disjunctive(terms ...string) ([]uint32, error) {
 func (idx *Index) postings(terms []string) []core.Posting {
 	var ps []core.Posting
 	for _, t := range terms {
-		if e, ok := idx.entry(t); ok {
+		if e, ok := idx.term(t); ok {
 			ps = append(ps, e.posting)
 		}
 	}
@@ -415,9 +442,9 @@ type Result = ops.ScoredDoc
 // TopK ranks the documents matching at least one query term by summed
 // quantized impact, descending (ascending docid on ties), and returns
 // the best k. It runs ops.TopK's Block-Max mode over each term's
-// impacts: the stored annotations of a BVIX3 v4 index, or annotations
-// derived from the frequency payload (pure document counting when no
-// frequencies exist). Only a list-coded term with stored impacts is
+// impacts: the stored annotations of an index written with them, or
+// annotations derived from the frequencies (pure document counting when
+// no frequencies exist). Only a list-coded term with stored impacts is
 // decoded block by block, so that blocks which cannot beat the heap
 // threshold stay compressed; any other term is decoded whole (from the
 // decoded cache when attached). A multi-term query dense in the docids

@@ -25,7 +25,7 @@ type Format string
 const (
 	// FormatBVIX3 is the section-aligned mmap serving format.
 	FormatBVIX3 Format = "bvix3"
-	// FormatBVIX3Impacts is BVIX3 with the v4 impacts section: ranked
+	// FormatBVIX3Impacts is BVIX3 with the impacts section (v6): ranked
 	// top-k annotations (quantized impacts + block-max frame) alongside
 	// the postings, enabling Block-Max pruning straight off the mapping.
 	FormatBVIX3Impacts Format = "bvix3+impacts"
